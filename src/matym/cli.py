@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import io
 import json
 import sys
 import time
@@ -19,11 +20,11 @@ import numpy as np
 from . import fields as fd
 from . import qbundle as qb
 from . import qriemann as qr
-from .matforms import CONVENTIONS_ID, DerivationCalculus
+from .matforms import (CONVENTIONS_ID, DerivationCalculus, matrix_from_json,
+                       matrix_to_json)
 from .verify import run_verification
 
 MODES = ("verify", "solve", "spectrum")
-METHODS = ("gd", "gauss_newton")
 
 _DEFAULTS = {
     "mode": "verify",
@@ -119,8 +120,8 @@ def validate_config(cfg):
     _require_float(cfg, "tol", positive=True)
     _require_float(cfg, "fd_step", positive=True)
     _require_float(cfg, "initial_step", positive=True)
-    if cfg["method"] not in METHODS:
-        raise ConfigError("method", f"expected one of {METHODS}, got {cfg['method']!r}")
+    if cfg["method"] not in fd.METHODS:
+        raise ConfigError("method", f"expected one of {fd.METHODS}, got {cfg['method']!r}")
     if cfg["grade"] is not None:
         g = _require_int(cfg, "grade", minimum=0)
         if g > N * N - 1:
@@ -135,43 +136,28 @@ def validate_config(cfg):
     return cfg
 
 
-def _matrix_from_json(calc, value, field):
+def _decode(field, parse, *args):
+    """Run a payload reader, reporting any failure as a ConfigError."""
     try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError(field, "expected nested [re, im] number pairs") from None
-    if arr.shape != (calc.N, calc.N, 2):
-        raise ConfigError(field, f"expected shape {(calc.N, calc.N, 2)}, got {arr.shape}")
-    return arr[..., 0] + 1j * arr[..., 1]
-
-
-def _matrix_to_json(m):
-    m = np.asarray(m, dtype=complex)
-    return [[[float(v.real), float(v.imag)] for v in row] for row in m]
+        return parse(*args)
+    except Exception as exc:
+        raise ConfigError(field, str(exc)) from None
 
 
 def _build_solve_configuration(cfg, calc, rng):
     if cfg["connection"] is not None:
         if not isinstance(cfg["connection"], dict):
             raise ConfigError("connection", "expected a connection payload object")
-        try:
-            conn = qb.GaugeConnection.from_payload(calc, cfg["connection"])
-        except Exception as exc:
-            raise ConfigError("connection", str(exc)) from None
+        conn = _decode("connection", qb.GaugeConnection.from_payload, calc, cfg["connection"])
     else:
         conn = qb.GaugeConnection(calc.random_form(1, rng))
     n = cfg["charge"]
     with_sections = n != 0 or cfg["left"] is not None or cfg["right"] is not None
     if not with_sections:
         return fd.FieldConfiguration(conn)
-    if cfg["left"] is not None:
-        a = _matrix_from_json(calc, cfg["left"], "left")
-    else:
-        a = calc.random_matrix(rng)
-    if cfg["right"] is not None:
-        b = _matrix_from_json(calc, cfg["right"], "right")
-    else:
-        b = calc.random_matrix(rng)
+    a, b = (calc.random_matrix(rng) if cfg[side] is None
+            else _decode(side, matrix_from_json, calc, cfg[side])
+            for side in ("left", "right"))
     return fd.FieldConfiguration(
         conn,
         qb.ChargedSection(calc, n, "left", a),
@@ -220,8 +206,8 @@ def _run_solve(cfg):
         "curvature_norm": curv_norm,
         "solution": {
             "connection": solved.connection.to_payload(),
-            "left": None if solved.left is None else _matrix_to_json(solved.left.p),
-            "right": None if solved.right is None else _matrix_to_json(solved.right.p),
+            "left": None if solved.left is None else matrix_to_json(calc, solved.left.p),
+            "right": None if solved.right is None else matrix_to_json(calc, solved.right.p),
         },
     }
     status = "converged" if report.converged else "did not converge"
@@ -234,14 +220,9 @@ def _run_solve(cfg):
 def _run_spectrum(cfg):
     calc = DerivationCalculus(cfg["N"])
     grades = [cfg["grade"]] if cfg["grade"] is not None else list(range(calc.dim + 1))
-    lines = ["grade,index,eigenvalue"]
-    count = 0
-    for g in grades:
-        for i, ev in enumerate(qr.spectrum(calc, g)):
-            lines.append(f"{g},{i},{ev:.17g}")
-            count += 1
-    text = "\n".join(lines) + "\n"
-    return text, f"spectrum: wrote {count} eigenvalues for grades {grades}", 0
+    buf = io.StringIO()
+    count = qr.write_spectrum_csv(calc, buf, grades=grades)
+    return buf.getvalue(), f"spectrum: wrote {count} eigenvalues for grades {grades}", 0
 
 
 def _emit(path, text):
@@ -269,7 +250,7 @@ def build_parser():
     parser.add_argument("--grade", type=int, help="restrict spectrum mode to one grade")
     parser.add_argument("--N", type=int, dest="N", help="matrix algebra size")
     parser.add_argument("--max-iter", type=int, dest="max_iter", help="iteration budget")
-    parser.add_argument("--method", choices=METHODS, help="solver method")
+    parser.add_argument("--method", choices=fd.METHODS, help="solver method")
     parser.add_argument("--strict-conventions", action="store_true", default=None,
                         dest="strict_conventions",
                         help="fail (instead of warn) on convention-sensitive checks")
@@ -295,10 +276,8 @@ def merge_config(args):
     cfg = dict(_DEFAULTS)
     if args.config is not None:
         cfg.update(load_config_file(args.config))
-    for key in ("mode", "seed", "tol", "charge", "potential", "out", "grade",
-                "N", "max_iter", "method", "strict_conventions"):
-        value = getattr(args, key)
-        if value is not None:
+    for key, value in vars(args).items():
+        if key != "config" and value is not None:
             cfg[key] = value
     return validate_config(cfg)
 

@@ -117,20 +117,6 @@ class GaussianRational:
             return str(self.re)
         return f"{self.re}{'+' if self.im >= 0 else '-'}{abs(self.im)}i"
 
-    @classmethod
-    def parse(cls, text):
-        """Inverse of __str__, for payload round trips."""
-        s = text.strip()
-        if s.endswith("i"):
-            body = s[:-1]
-            # split at the sign separating real and imaginary parts
-            for pos in range(len(body) - 1, 0, -1):
-                if body[pos] in "+-" and body[pos - 1] not in "+-/":
-                    return cls(Fraction(body[:pos]),
-                               Fraction(body[pos:].replace("+", "", 1)))
-            return cls(0, Fraction(body))
-        return cls(Fraction(s))
-
 
 GR_ZERO = GaussianRational(0)
 GR_ONE = GaussianRational(1)

@@ -23,8 +23,7 @@ import numpy as np
 
 from .matforms import CONVENTIONS_ID, dagger
 from .qbundle import (ChargedSection, GaugeConnection, QvbForm,
-                      cov_codifferential, cov_derivative, s_omega,
-                      section_inner)
+                      cov_codifferential, cov_derivative, section_inner)
 from .qriemann import (codifferential, form_to_vec, hodge_inner, metric,
                        operator_matrix, state, vec_to_form)
 
@@ -50,18 +49,8 @@ class PolynomialPotential:
             for c in reversed(coeffs):
                 out = out * q + c
             return out
-        n = q.shape[0]
-        if q.dtype == object:
-            out = np.empty((n, n), dtype=object)
-            eye = np.empty((n, n), dtype=object)
-            from .exact import GR_ONE, GR_ZERO
-            for r in range(n):
-                for c in range(n):
-                    eye[r, c] = GR_ONE if r == c else GR_ZERO
-                    out[r, c] = GR_ZERO
-        else:
-            eye = np.eye(n, dtype=complex)
-            out = np.zeros((n, n), dtype=complex)
+        eye = np.eye(q.shape[0], dtype=q.dtype)
+        out = 0 * eye
         for c in reversed(coeffs):
             out = out @ q + c * eye
         return out
@@ -285,13 +274,9 @@ def ymsm_section_residuals(cfg):
 
 
 def continuity_residual(conn):
-    """The covariant codifferential applied twice to the curvature, with
-    the (identically zero) curvature-transport corrections kept in place."""
-    sw = s_omega(conn).adjoint()
+    """The covariant codifferential applied twice to the curvature."""
     psi = QvbForm(0, "left", conn.curvature())
-    first = cov_codifferential(conn, psi) - sw(psi)
-    second = cov_codifferential(conn, first) - sw(first)
-    return second.form
+    return cov_codifferential(conn, cov_codifferential(conn, psi)).form
 
 
 # -- variational oracles ----------------------------------------------------
@@ -346,11 +331,14 @@ def flat_potential(conn):
 
 # -- stationary-point solver ----------------------------------------------
 
+METHODS = ("gd", "gauss_newton")
+
+
 @dataclass
 class SolverOptions:
     tol: float = 1e-8
     max_iter: int = 100_000
-    method: str = "gd"  # "gd" or "gauss_newton"
+    method: str = "gd"  # one of METHODS
     fd_step: float = 1e-7
     armijo_c: float = 1e-4
     initial_step: float = 1.0
@@ -406,10 +394,6 @@ def action_summary(cfg):
     else:
         out["total"] = _pair(ym)
     return out
-
-
-def _frob(m):
-    return float(np.linalg.norm(np.asarray(m, dtype=complex)))
 
 
 def residual_blocks(cfg):
@@ -489,7 +473,7 @@ def solve_stationary(cfg0, options=None):
     SolverAbort.
     """
     options = options or SolverOptions()
-    if options.method not in ("gd", "gauss_newton"):
+    if options.method not in METHODS:
         raise ValueError(f"unknown method {options.method!r}")
     packing = _Packing(cfg0, options)
     if packing.size == 0:

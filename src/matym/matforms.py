@@ -467,34 +467,42 @@ class DiffForm:
     # -- serialization -----------------------------------------------------
 
     def to_payload(self):
-        """JSON-ready dict: index-tuple strings to row-major [re, im] pairs."""
-        terms = {}
-        for I, p in sorted(self.terms.items()):
-            key = _index_key(self.calc, I)
-            if self.calc.exact:
-                terms[key] = [[[str(x.re), str(x.im)] for x in row] for row in p]
-            else:
-                terms[key] = [[[float(x.real), float(x.imag)] for x in row]
-                              for row in np.asarray(p, dtype=complex)]
+        """JSON-ready dict: index-tuple strings to `matrix_to_json` matrices."""
+        terms = {_index_key(self.calc, I): matrix_to_json(self.calc, p)
+                 for I, p in sorted(self.terms.items())}
         return {"N": self.calc.N, "exact": self.calc.exact, "terms": terms}
 
     @classmethod
     def from_payload(cls, calc, payload):
         if payload.get("N", calc.N) != calc.N or payload.get("exact", calc.exact) != calc.exact:
             raise DimensionError("payload does not match the target calculus")
-        terms = {}
-        for key, rows in payload["terms"].items():
-            I = _parse_index_key(key)
-            m = calc.zero_matrix()
-            for r in range(calc.N):
-                for c in range(calc.N):
-                    re, im = rows[r][c]
-                    if calc.exact:
-                        m[r, c] = GaussianRational(Fraction(re), Fraction(im))
-                    else:
-                        m[r, c] = complex(re, im)
-            terms[I] = m
-        return cls(calc, terms)
+        return cls(calc, {_parse_index_key(key): matrix_from_json(calc, rows)
+                          for key, rows in payload["terms"].items()})
+
+
+def matrix_to_json(calc, p):
+    """Row-major [re, im] pairs: floats, or rational strings in exact mode."""
+    if calc.exact:
+        return [[[str(x.re), str(x.im)] for x in row] for row in p]
+    return [[[float(x.real), float(x.imag)] for x in row]
+            for row in np.asarray(p, dtype=complex)]
+
+
+def matrix_from_json(calc, rows):
+    """Inverse of `matrix_to_json`; refuses anything but shape (N, N, 2)."""
+    arr = np.array(rows, dtype=object)
+    if arr.shape != (calc.N, calc.N, 2):
+        raise DimensionError(f"expected shape {(calc.N, calc.N, 2)}, got {arr.shape}")
+    if calc.exact:
+        m = calc.zero_matrix()
+        for r in range(calc.N):
+            for c in range(calc.N):
+                m[r, c] = GaussianRational(Fraction(arr[r, c, 0]), Fraction(arr[r, c, 1]))
+        return m
+    arr = arr.astype(float)
+    m = np.empty((calc.N, calc.N), dtype=complex)
+    m.real, m.imag = arr[..., 0], arr[..., 1]
+    return m
 
 
 def _index_key(calc, I):
@@ -511,14 +519,3 @@ def _parse_index_key(key):
         return tuple(int(s) for s in key.split(","))
     return tuple(int(ch) for ch in key)
 
-
-def wedge(a, b):
-    return a.wedge(b)
-
-
-def differential(a):
-    return a.d()
-
-
-def star_involution(a):
-    return a.star()

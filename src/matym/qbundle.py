@@ -18,20 +18,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matforms import DiffForm, dagger
-from .qriemann import (IDENTITY_TOL, codifferential, hodge, hodge_inner,
-                       hodge_inv, metric, state)
-
-_SIDES = ("left", "right")
+from .matforms import DiffForm, dagger, matrix_from_json, matrix_to_json
+from .qriemann import (IDENTITY_TOL, _check_side, codifferential, hodge,
+                       hodge_inner, state)
 
 
 class ChargeMismatchError(ValueError):
     """Pairing of charged objects with different charge or side."""
-
-
-def _check_side(side):
-    if side not in _SIDES:
-        raise ValueError(f"side must be one of {_SIDES}, got {side!r}")
 
 
 class GaugeConnection:
@@ -95,33 +88,18 @@ class GaugeConnection:
         return f"GaugeConnection({self.A!r})"
 
     def to_payload(self):
+        """{"A": [matrix_to_json of each h^j coefficient, j = 1..d]}."""
         calc = self.calc
-        mats = []
-        for j in range(1, calc.dim + 1):
-            p = np.asarray(self.A.component((j,)), dtype=complex)
-            mats.append([[[float(x.real), float(x.imag)] for x in row] for row in p])
-        return {"A": mats}
+        return {"A": [matrix_to_json(calc, self.A.component((j,)))
+                      for j in range(1, calc.dim + 1)]}
 
     @classmethod
     def from_payload(cls, calc, payload):
         mats = payload["A"]
         if len(mats) != calc.dim:
             raise ValueError(f"expected {calc.dim} coefficient matrices, got {len(mats)}")
-        terms = {}
-        for j, rows in enumerate(mats, start=1):
-            m = calc.zero_matrix()
-            for r in range(calc.N):
-                for c in range(calc.N):
-                    re, im = rows[r][c]
-                    if calc.exact:
-                        from fractions import Fraction
-
-                        from .exact import GaussianRational
-                        m[r, c] = GaussianRational(Fraction(re), Fraction(im))
-                    else:
-                        m[r, c] = complex(re, im)
-            terms[(j,)] = m
-        return cls(DiffForm(calc, terms))
+        return cls(DiffForm(calc, {(j,): matrix_from_json(calc, rows)
+                                   for j, rows in enumerate(mats, start=1)}))
 
 
 class ConnectionDisplacement:
@@ -288,8 +266,9 @@ def cov_codifferential(conn, psi):
 
     On a left grade-g piece: d*q - (-1)^(g-1) n star_inv(A (star q)); the
     second term is antilinear in A, which is what makes this the true
-    adjoint even for connections that are not real. Right side by
-    involution conjugation at opposite charge.
+    adjoint even for connections that are not real. star_inv is applied as
+    hodge, its sign (-1)^{(d-g+1)(g-1)} folded into the charge's sign. Right
+    side by involution conjugation at opposite charge.
     """
     psi = as_qvb(psi)
     n = psi.charge
@@ -298,13 +277,14 @@ def cov_codifferential(conn, psi):
         res = cov_codifferential(conn, flipped)
         return QvbForm(n, "right", res.form.star())
     A = conn.A
+    d = A.calc.dim
     out = codifferential(psi.form, "left")
     if n:
         for g in psi.form.grades():
             if g == 0:
                 continue
-            part = hodge_inv(A * hodge(psi.form.graded_part(g)))
-            out = out - (n if (g - 1) % 2 == 0 else -n) * part
+            part = hodge(A * hodge(psi.form.graded_part(g)))
+            out = out - (-n if (g - 1) * (d - g + 2) % 2 else n) * part
     return QvbForm(n, "left", out)
 
 
@@ -321,28 +301,6 @@ def displacement_K(lam, T, base=None):
     if base is None:
         base = GaugeConnection.zero(psi.calc)
     return cov_derivative(base + lam, psi) - cov_derivative(base, psi)
-
-
-class SOmega:
-    """The extra curvature-transport operator of the general field
-    equations. The embedded differential is forced to vanish here, so
-    this operator and its adjoint are identically zero; it exists to keep
-    the field equations assembled in full."""
-
-    __slots__ = ()
-
-    def __call__(self, x):
-        x = as_qvb(x) if isinstance(x, ChargedSection) else x
-        if isinstance(x, QvbForm):
-            return QvbForm(x.charge, x.side, x.calc.zero_form())
-        return x.calc.zero_form()
-
-    def adjoint(self):
-        return self
-
-
-def s_omega(conn):
-    return SOmega()
 
 
 # -- total-space reference evaluator -------------------------------------

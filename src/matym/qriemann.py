@@ -9,8 +9,6 @@ operator with the involution, never by a second hand-coded formula.
 
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 import scipy.linalg
 
@@ -67,32 +65,28 @@ def hodge_inner(a, b, side="left"):
 
 def hodge(a, side="left"):
     """Hodge star; antilinear, sends grade k to d - k."""
+    return _hodge(a, side, inverse=False)
+
+
+def hodge_inv(a, side="left"):
+    """Inverse Hodge star, (-1)^{k(d-k)} hodge on grade k."""
+    return _hodge(a, side, inverse=True)
+
+
+def _hodge(a, side, inverse):
     _check_side(side)
     if side == "right":
-        return hodge(a.star(), "left").star()
+        return _hodge(a.star(), "left", inverse).star()
     calc = a.calc
     full = frozenset(range(1, calc.dim + 1))
     out = {}
     for I, p in a.terms.items():
         Ic = tuple(sorted(full.difference(I)))
         _, sign = sort_sign(I + Ic)
+        if inverse and len(I) * len(Ic) % 2:
+            sign = -sign
         q = dagger(p)
         out[Ic] = q if sign == 1 else -q
-    return DiffForm._raw(calc, out)
-
-
-def hodge_inv(a, side="left"):
-    _check_side(side)
-    if side == "right":
-        return hodge_inv(a.star(), "left").star()
-    calc = a.calc
-    full = frozenset(range(1, calc.dim + 1))
-    out = {}
-    for J, q in a.terms.items():
-        Jc = tuple(sorted(full.difference(J)))
-        _, sign = sort_sign(Jc + J)
-        p = dagger(q)
-        out[Jc] = p if sign == 1 else -p
     return DiffForm._raw(calc, out)
 
 
@@ -100,16 +94,18 @@ def codifferential(a, side="left"):
     """Adjoint of d: (-1)^g star^{-1} d star on each grade-g piece.
 
     Grade 0 needs no special case; the star of a grade-0 form is a top
-    form, which d kills.
+    form, which d kills. star^{-1} is applied as hodge with its sign
+    (-1)^{(d-g+1)(g-1)} folded into the (-1)^g.
     """
     _check_side(side)
     if side == "right":
         return codifferential(a.star(), "left").star()
     calc = a.calc
+    d = calc.dim
     out = calc.zero_form()
     for g in a.grades():
-        part = hodge_inv(hodge(a.graded_part(g)).d())
-        out = out + (part if g % 2 == 0 else -part)
+        part = hodge(hodge(a.graded_part(g)).d())
+        out = out - part if (g + (d - g + 1) * (g - 1)) % 2 else out + part
     return out
 
 
@@ -203,10 +199,15 @@ def spectrum(calc, grade, side="left"):
     return scipy.linalg.eigvalsh(H, G)
 
 
-def write_spectrum_csv(calc, stream, side="left"):
-    """All grades 0..d, columns (grade, index, eigenvalue), 17 digits."""
-    writer = csv.writer(stream)
-    writer.writerow(["grade", "index", "eigenvalue"])
-    for g in range(calc.dim + 1):
+def write_spectrum_csv(calc, stream, side="left", grades=None):
+    """Columns (grade, index, eigenvalue), 17 digits, one row per eigenvalue
+    of each grade (default 0..d); returns the number of rows."""
+    if grades is None:
+        grades = range(calc.dim + 1)
+    stream.write("grade,index,eigenvalue\n")
+    count = 0
+    for g in grades:
         for idx, val in enumerate(spectrum(calc, g, side)):
-            writer.writerow([g, idx, f"{val:.17g}"])
+            stream.write(f"{g},{idx},{val:.17g}\n")
+            count += 1
+    return count

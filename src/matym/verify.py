@@ -563,16 +563,12 @@ def _(ctx):
     return _maxdev(devs) < 1e-12, f"max deviation {_maxdev(devs):.2e}"
 
 
-@_check("s_omega_vanishes_and_bianchi")
+@_check("bianchi_identity")
 def _(ctx):
     rng = ctx.rng(38)
-    calc = ctx.calc
-    conn = qb.GaugeConnection(calc.random_form(1, rng))
-    sw = qb.s_omega(conn)
-    psi = qb.QvbForm(1, "left", calc.random_form(2, rng))
-    ok = sw(psi).form.is_zero() and sw.adjoint()(psi).form.is_zero()
+    conn = qb.GaugeConnection(ctx.calc.random_form(1, rng))
     dev = conn.curvature().d().frobenius()
-    return ok and dev < 1e-12, f"S = 0 and |d R| = {dev:.2e}"
+    return dev < 1e-12, f"|d R| = {dev:.2e}"
 
 
 @_check("cov_laplacian_hermitian_psd")
@@ -580,13 +576,9 @@ def _(ctx):
     rng = ctx.rng(39)
     calc = ctx.calc
     conn = qb.GaugeConnection(calc.random_form(1, rng))
-    basis = qr.grade_basis(calc, 0)
-    m = len(basis)
-    H = np.empty((m, m), dtype=complex)
-    for j, bj in enumerate(basis):
-        Lb = qb.cov_laplacian(conn, qb.QvbForm(1, "left", bj))
-        for i, bi in enumerate(basis):
-            H[i, j] = qb.qvb_inner(Lb, qb.QvbForm(1, "left", bi))
+    # <L b_j, b_i> in the h^I E_rc basis is L's coefficient matrix over N
+    H = qr.operator_matrix(
+        calc, lambda f: qb.cov_laplacian(conn, qb.QvbForm(1, "left", f)).form, 0) / calc.N
     herm = float(np.max(np.abs(H - H.conj().T)))
     ev = np.linalg.eigvalsh((H + H.conj().T) / 2)
     return herm < 1e-12 and np.min(ev) > -qr.PSD_SLACK, \
@@ -644,35 +636,29 @@ def _(ctx):
     return _maxdev(devs) < 1e-10, f"max residual {_maxdev(devs):.2e}"
 
 
-@_check("worked_example_vertical_connection")
-def _(ctx):
-    calc = ctx.calc
-    if calc.N != 2:
-        return True, "worked example is N=2"
+def _vertical_example(calc):
+    """A = sum_k h^k S_k with sections sqrt(3) Id and Id, V = -3q/4."""
     S = calc.generators
-    sol = qb.GaugeConnection(DiffForm(calc, {(1,): S[0], (2,): S[1], (3,): S[2]}))
-    cfg = fd.FieldConfiguration(
-        sol,
+    return fd.FieldConfiguration(
+        qb.GaugeConnection(DiffForm(calc, {(1,): S[0], (2,): S[1], (3,): S[2]})),
         qb.ChargedSection(calc, 1, "left", np.sqrt(3) * np.eye(2)),
         qb.ChargedSection(calc, -1, "right", calc.identity()),
         fd.PolynomialPotential([0, -0.75]))
-    dev = fd.ymsm_connection_residual(cfg).frobenius()
+
+
+@_check("worked_example_vertical_connection")
+def _(ctx):
+    if ctx.N != 2:
+        return True, "worked example is N=2"
+    dev = fd.ymsm_connection_residual(_vertical_example(ctx.calc)).frobenius()
     return dev < 1e-10, f"connection equation residual {dev:.2e}"
 
 
 @_check("worked_example_vertical_section_values", convention_sensitive=True)
 def _(ctx):
-    calc = ctx.calc
-    if calc.N != 2:
+    if ctx.N != 2:
         return True, "worked example is N=2"
-    S = calc.generators
-    sol = qb.GaugeConnection(DiffForm(calc, {(1,): S[0], (2,): S[1], (3,): S[2]}))
-    cfg = fd.FieldConfiguration(
-        sol,
-        qb.ChargedSection(calc, 1, "left", np.sqrt(3) * np.eye(2)),
-        qb.ChargedSection(calc, -1, "right", calc.identity()),
-        fd.PolynomialPotential([0, -0.75]))
-    r1, r2 = fd.ymsm_section_residuals(cfg)
+    r1, r2 = fd.ymsm_section_residuals(_vertical_example(ctx.calc))
     g1 = np.asarray(r1.form.component(()), dtype=complex)
     g2 = np.asarray(r2.form.component(()), dtype=complex)
     d1 = float(np.max(np.abs(g1 - 1.5 * np.sqrt(3) * np.eye(2))))
@@ -883,7 +869,7 @@ def _(ctx):
 def _(ctx):
     rng = ctx.rng(62)
     exact = ctx.exact
-    calc = ctx.calc
+    calc = DerivationCalculus(2)  # the exact calculus exists at N=2 only
     w_ex = exact.random_form(1, rng)
     w_nu = DiffForm(calc, {I: np.asarray(p, dtype=complex) for I, p in w_ex.terms.items()})
     pairs = [

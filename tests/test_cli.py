@@ -111,6 +111,15 @@ def test_verify_deterministic(tmp_path):
     assert dump(a) == dump(b)
 
 
+def test_exact_numeric_cross_check_at_n3():
+    # the exact calculus exists at N=2 only; the check must not feed its
+    # data into the N=3 calculus of the run (a full N=3 verify is slow)
+    from matym.verify import _CHECKS, _Ctx
+    check = {name: fn for name, _, fn in _CHECKS}["exact_numeric_cross_check"]
+    ok, detail = check(_Ctx(seed=0, N=3))
+    assert ok, detail
+
+
 # -- solve mode ----------------------------------------------------------------
 
 def test_solve_pure_ym_seed42(tmp_path):
@@ -181,6 +190,19 @@ def test_solve_bad_connection_payload(tmp_path, capsys):
     cfg.write_text(json.dumps({"mode": "solve", "connection": {"A": [[1]]}}))
     assert main(["--config", str(cfg)]) == 2
     assert "connection" in capsys.readouterr().err
+
+
+def test_solve_oversized_connection_payload(tmp_path, capsys):
+    # 3x3 coefficient matrices at N=2 are refused, not cut to 2x2 blocks
+    from matym import DerivationCalculus, GaugeConnection
+    calc3 = DerivationCalculus(3)
+    payload = GaugeConnection(calc3.random_form(1, np.random.default_rng(0))).to_payload()
+    payload["A"] = payload["A"][:3]
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"mode": "solve", "connection": payload}))
+    assert main(["--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "connection" in err and "shape" in err
 
 
 def test_solve_bad_section_shape(tmp_path, capsys):

@@ -21,7 +21,6 @@ from matym import (
     GaussianRational,
     dagger,
     sort_sign,
-    wedge,
 )
 
 PAULI_HALF = [
@@ -216,7 +215,7 @@ def test_wedge_mixed_grades_distributes(calc, rng):
     b = rand_form(calc, 1, rng)
     assert ((a0 + a2) * b).allclose(a0 * b + a2 * b)
     assert (b * (a0 + a2)).allclose(b * a0 + b * a2)
-    assert wedge(a0, b).allclose(a0 * b)
+    assert a0.wedge(b).allclose(a0 * b)
 
 
 def test_scalar_module_actions(calc, rng):
@@ -369,3 +368,11 @@ def test_payload_mismatched_calculus(calc, calc3, rng):
     a = rand_form(calc, 1, rng)
     with pytest.raises(DimensionError):
         DiffForm.from_payload(calc3, a.to_payload())
+
+
+def test_payload_oversized_matrix_refused(calc, calc3, rng):
+    # 3x3 coefficients at N=2 are refused, not cut to their 2x2 block
+    payload = DiffForm(calc3, {(1,): calc3.random_matrix(rng)}).to_payload()
+    payload["N"] = 2
+    with pytest.raises(DimensionError, match="shape"):
+        DiffForm.from_payload(calc, payload)

@@ -33,6 +33,7 @@ from matym import (
     state,
     write_spectrum_csv,
 )
+from matym.cli import main
 from matym.qriemann import form_to_vec, grade_basis, operator_matrix, vec_to_form
 
 
@@ -155,7 +156,10 @@ def test_hodge_defining_property_exhaustive_basis(calc):
                 assert (lhs - rhs).frobenius() < 1e-13
 
 
-def test_hodge_double_and_inverse(calc, rng):
+@pytest.mark.parametrize("calc_name", ["calc", "calc3"])
+def test_hodge_double_and_inverse(calc_name, request, rng):
+    # at N=3 (d=8) star^{-1} = (-1)^{k(d-k)} star differs from star on odd k
+    calc = request.getfixturevalue(calc_name)
     d = calc.dim
     for k in range(0, d + 1):
         mu = calc.random_form(k, rng)
@@ -225,6 +229,16 @@ def test_codifferential_adjointness(seed, g, side):
     b = calc.random_form(g + 1, rng)
     assert abs(hodge_inner(a.d(), b, side)
                - hodge_inner(a, codifferential(b, side), side)) < 1e-10
+
+
+def test_codifferential_adjointness_n3(calc3, rng):
+    # at d=8 the star^{-1} inside d* flips sign on even input grades
+    for g in range(calc3.dim):
+        for side in ("left", "right"):
+            a = calc3.random_form(g, rng)
+            b = calc3.random_form(g + 1, rng)
+            assert abs(hodge_inner(a.d(), b, side)
+                       - hodge_inner(a, codifferential(b, side), side)) < 1e-10
 
 
 def test_codifferential_squares_to_zero(calc, rng):
@@ -353,13 +367,21 @@ def test_operator_matrix_reproduces_d(calc, rng):
     assert np.allclose(got, form_to_vec(a.d(), [2]), atol=1e-13)
 
 
-def test_write_spectrum_csv(calc):
+def test_write_spectrum_csv(calc, tmp_path):
     buf = io.StringIO()
-    write_spectrum_csv(calc, buf)
-    lines = buf.getvalue().strip().splitlines()
+    assert write_spectrum_csv(calc, buf) == 4 + 12 + 12 + 4
+    text = buf.getvalue()
+    assert "\r" not in text and text.endswith("\n")
+    lines = text.strip().splitlines()
     assert lines[0] == "grade,index,eigenvalue"
     assert len(lines) == 1 + 4 + 12 + 12 + 4
     grades = [int(line.split(",")[0]) for line in lines[1:]]
     assert grades == sorted(grades)
     vals = [float(line.split(",")[2]) for line in lines[1:5]]
     assert np.allclose(sorted(vals), [0, 2, 2, 2], atol=1e-10)
+    # the command line writes the very same bytes
+    grade0 = io.StringIO()
+    assert write_spectrum_csv(calc, grade0, grades=[0]) == 4
+    out = tmp_path / "s.csv"
+    assert main(["--mode", "spectrum", "--grade", "0", "--out", str(out)]) == 0
+    assert out.read_bytes() == grade0.getvalue().encode()
