@@ -12,8 +12,10 @@ import argparse
 import datetime
 import io
 import json
+import math
 import sys
 import time
+from decimal import Decimal
 
 import numpy as np
 
@@ -34,7 +36,7 @@ _DEFAULTS = {
     "potential": [0.0],
     "tol": 1e-8,
     "max_iter": 100_000,
-    "method": "gd",
+    "method": "gauss_newton",
     "grade": None,
     "out": None,
     "strict_conventions": False,
@@ -45,8 +47,14 @@ _DEFAULTS = {
     "vary_left": True,
     "vary_right": True,
     "fd_step": 1e-7,
-    "initial_step": 1.0,
 }
+
+
+# Largest dense matrix one run may build. The spectrum path holds a few
+# copies of it at once (operator, hermiticity check, eigensolver), so a run
+# at the limit peaks at a few GiB. Every N=3 run fits; N=4 over all grades
+# would need 158 GiB for its grade-7 operator alone.
+MAX_DENSE_BYTES = 2**30
 
 
 class ConfigError(Exception):
@@ -119,7 +127,6 @@ def validate_config(cfg):
     cfg["potential"] = _parse_potential(cfg["potential"])
     _require_float(cfg, "tol", positive=True)
     _require_float(cfg, "fd_step", positive=True)
-    _require_float(cfg, "initial_step", positive=True)
     if cfg["method"] not in fd.METHODS:
         raise ConfigError("method", f"expected one of {fd.METHODS}, got {cfg['method']!r}")
     if cfg["grade"] is not None:
@@ -133,7 +140,35 @@ def validate_config(cfg):
     for key in ("connection", "left", "right"):
         if cfg[key] is not None and cfg["mode"] != "solve":
             raise ConfigError(key, "only meaningful in solve mode")
+    size = dense_matrix_bytes(cfg)
+    if size > MAX_DENSE_BYTES:
+        raise ConfigError("N", f"the run would build a dense matrix of "
+                               f"{Decimal(size) / 2**30:.3g} GiB, over the "
+                               f"{MAX_DENSE_BYTES // 2**30} GiB limit")
     return cfg
+
+
+def dense_matrix_bytes(cfg):
+    """Bytes of the largest dense matrix a validated config would build,
+    computed without building anything.
+
+    spectrum and verify: the complex Laplacian on grade k has C(d, k) N^2
+    rows (d = N^2 - 1), for the requested grade or the largest of all. solve:
+    the real Jacobian has at most 2 (d + 2) N^2 rows and as many columns,
+    the connection and both sections in real and imaginary parts. Once the
+    grade-0 operator alone (N^2 rows) is over the limit, its size is
+    returned, sparing a binomial coefficient of millions of digits.
+    """
+    N = cfg["N"]
+    d = N * N - 1
+    if cfg["mode"] == "solve":
+        rows, entry = 2 * (d + 2) * N * N, 8
+    elif N**4 * 16 > MAX_DENSE_BYTES:
+        rows, entry = N * N, 16
+    else:
+        k = cfg["grade"] if cfg["mode"] == "spectrum" and cfg["grade"] is not None else d // 2
+        rows, entry = math.comb(d, k) * N * N, 16
+    return rows * rows * entry
 
 
 def _decode(field, parse, *args):
@@ -190,7 +225,7 @@ def _run_solve(cfg):
     cfg0 = _build_solve_configuration(cfg, calc, rng)
     options = fd.SolverOptions(
         tol=cfg["tol"], max_iter=cfg["max_iter"], method=cfg["method"],
-        fd_step=cfg["fd_step"], initial_step=cfg["initial_step"],
+        fd_step=cfg["fd_step"],
         vary_connection=cfg["vary_connection"], vary_left=cfg["vary_left"],
         vary_right=cfg["vary_right"])
     initial_actions = fd.action_summary(cfg0)

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from matym.cli import main
+from matym.cli import (_DEFAULTS, MODES, ConfigError, dense_matrix_bytes, main,
+                        validate_config)
 
 
 def run(tmp_path, *argv):
@@ -43,9 +44,10 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
 
 def test_unknown_field_exits_2(tmp_path, capsys):
     cfg = tmp_path / "c.json"
-    cfg.write_text('{"tolerance": 1e-8}')
-    assert main(["--config", str(cfg)]) == 2
-    assert "tolerance" in capsys.readouterr().err
+    for field in ("tolerance", "initial_step"):
+        cfg.write_text(json.dumps({field: 1e-8}))
+        assert main(["--config", str(cfg)]) == 2
+        assert field in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("doc,field", [
@@ -66,6 +68,31 @@ def test_invalid_values_exit_2(tmp_path, capsys, doc, field):
     cfg.write_text(doc)
     assert main(["--config", str(cfg)]) == 2
     assert field in capsys.readouterr().err
+
+
+def test_dense_matrix_estimate():
+    def cfg(**fields):
+        return dict(_DEFAULTS, **fields)
+    # C(d, k) N^2 rows of complex entries; d = 8 at N=3, 15 at N=4
+    assert dense_matrix_bytes(cfg(mode="spectrum", N=3)) == (70 * 9) ** 2 * 16
+    assert dense_matrix_bytes(cfg(mode="spectrum", N=3, grade=1)) == (8 * 9) ** 2 * 16
+    assert dense_matrix_bytes(cfg(mode="verify", N=4)) == 102_960 ** 2 * 16
+    assert dense_matrix_bytes(cfg(mode="spectrum", N=4, grade=2)) == (105 * 16) ** 2 * 16
+    # the real Jacobian over the connection and both sections
+    assert dense_matrix_bytes(cfg(mode="solve", N=2)) == (2 * 5 * 4) ** 2 * 8
+    # every N=3 run fits; N=4 over all grades needs 158 GiB and is refused
+    for mode in MODES:
+        validate_config(cfg(mode=mode, N=3))
+    validate_config(cfg(mode="spectrum", N=4, grade=2))
+    validate_config(cfg(mode="solve", N=4))
+    for doc in (cfg(mode="spectrum", N=4), cfg(mode="verify", N=4),
+                cfg(mode="spectrum", N=4, grade=7), cfg(mode="solve", N=9),
+                cfg(mode="spectrum", N=10**6)):
+        with pytest.raises(ConfigError, match="GiB") as exc:
+            validate_config(doc)
+        assert exc.value.field == "N"
+    with pytest.raises(ConfigError, match="158 GiB"):
+        validate_config(cfg(mode="spectrum", N=4))
 
 
 def test_flags_override_config(tmp_path):
@@ -111,12 +138,22 @@ def test_verify_deterministic(tmp_path):
     assert dump(a) == dump(b)
 
 
+def _verify_check_at_n3(name):
+    # one registered check alone: a full N=3 verify is slow
+    from matym.verify import _CHECKS, _Ctx
+    check = {n: fn for n, _, fn in _CHECKS}[name]
+    return check(_Ctx(seed=0, N=3))
+
+
 def test_exact_numeric_cross_check_at_n3():
     # the exact calculus exists at N=2 only; the check must not feed its
-    # data into the N=3 calculus of the run (a full N=3 verify is slow)
-    from matym.verify import _CHECKS, _Ctx
-    check = {name: fn for name, _, fn in _CHECKS}["exact_numeric_cross_check"]
-    ok, detail = check(_Ctx(seed=0, N=3))
+    # data into the N=3 calculus of the run
+    ok, detail = _verify_check_at_n3("exact_numeric_cross_check")
+    assert ok, detail
+
+
+def test_worked_example_flat_sections_at_n3():
+    ok, detail = _verify_check_at_n3("worked_example_flat_sections")
     assert ok, detail
 
 
@@ -136,11 +173,23 @@ def test_solve_pure_ym_seed42(tmp_path):
 
 def test_solve_nonconvergence_exit_1_report_written(tmp_path):
     out = tmp_path / "r.json"
-    assert main(["--mode", "solve", "--seed", "3", "--max-iter", "2",
-                 "--out", str(out)]) == 1
+    assert main(["--mode", "solve", "--seed", "3", "--charge", "1",
+                 "--potential", "0,2", "--max-iter", "2", "--out", str(out)]) == 1
     rep = read_report(out)["report"]
     assert rep["solver"]["converged"] is False
     assert rep["solver"]["iterations"] == 2
+
+
+def test_solve_method_gd_matches_default(tmp_path):
+    # gd is another name for the Gauss-Newton loop
+    out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
+    args = ["--mode", "solve", "--seed", "42", "--tol", "1e-9"]
+    assert main(args + ["--out", str(out1)]) == 0
+    assert main(args + ["--method", "gd", "--out", str(out2)]) == 0
+    a, b = read_report(out1)["report"], read_report(out2)["report"]
+    assert a["solver"]["method"] == "gauss_newton"
+    for key in ("solver", "solution"):
+        assert json.dumps(a[key], sort_keys=True) == json.dumps(b[key], sort_keys=True)
 
 
 def test_solve_coupled_sections_reported(tmp_path):
