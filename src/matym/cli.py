@@ -50,10 +50,12 @@ _DEFAULTS = {
 }
 
 
-# Largest dense matrix one run may build. The spectrum path holds a few
-# copies of it at once (operator, hermiticity check, eigensolver), so a run
-# at the limit peaks at a few GiB. Every N=3 run fits; N=4 over all grades
-# would need 158 GiB for its grade-7 operator alone.
+# Largest dense matrix one run may build. The spectrum path holds the
+# Laplacian L_k beside two factor operands of its assembly (each no larger
+# than L_k), then beside the hermiticity check's and the eigensolver's
+# copies of it, so a run at the limit peaks at a few GiB. Every N=3 run
+# fits; N=4 over all grades would need 158 GiB for its grade-7 operator
+# alone.
 MAX_DENSE_BYTES = 2**30
 
 

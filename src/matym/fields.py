@@ -24,8 +24,8 @@ import numpy as np
 from .matforms import CONVENTIONS_ID, dagger
 from .qbundle import (ChargedSection, GaugeConnection, QvbForm,
                       cov_codifferential, cov_derivative, section_inner)
-from .qriemann import (codifferential, form_to_vec, hodge_inner, metric,
-                       operator_matrix, state, vec_to_form)
+from .qriemann import (codifferential, d_matrix, form_to_vec, hodge_inner, metric,
+                       state, vec_to_form)
 
 
 class PolynomialPotential:
@@ -322,7 +322,7 @@ def flat_potential(conn):
     zero exactly when A is flat.
     """
     calc = conn.calc
-    D0 = operator_matrix(calc, lambda f: f.d(), [0], [1])
+    D0 = d_matrix(calc, 0)
     target = form_to_vec(conn.A, [1])
     x, *_ = np.linalg.lstsq(D0, target, rcond=None)
     defect = float(np.linalg.norm(D0 @ x - target))

@@ -171,8 +171,118 @@ def operator_matrix(calc, op, grades_in, grades_out=None):
     return np.column_stack(cols) if cols else np.zeros((rows, 0), dtype=complex)
 
 
-def gram_matrices(calc, grade, side="left", operator=None):
-    """(H, G) with H_ij = <op b_j, b_i> and G_ij = <b_j, b_i>.
+# -- operator tables --------------------------------------------------------
+#
+# The matrices of d, the star, d^star and the Laplacian written down from
+# index tables, in the vec order of form_to_vec, instead of applied to
+# every basis form (operator_matrix, which the tests keep as their oracle).
+# Float only: an exact calculus' generators and structure constants are
+# converted to complex, as operator_matrix converts its columns.
+
+_ROW_BLOCK = 128  # rows per product added in place by laplacian_matrix
+
+
+def d_matrix(calc, k):
+    """Matrix of d from grade k to k + 1: sum_m E_m (x) ad_m + C_k (x) 1.
+
+    ad_m = i(S_m (x) 1 - 1 (x) S_m^T) is p -> i[S_m, p] on row-major
+    entries; E_m (h^I to the signed h^{I+m}) and C_k (the coframe part)
+    come from the sort_sign and _dh rules of DiffForm.d.
+    """
+    N, n2 = calc.N, calc.N * calc.N
+    rows, cols = calc.basis_indices(k + 1), calc.basis_indices(k)
+    at = {K: i for i, K in enumerate(rows)}
+    one = np.eye(N)
+    ad = []
+    for S in calc.generators:
+        S = np.asarray(S, dtype=complex)
+        ad.append(1j * (np.kron(S, one) - np.kron(one, S.T)))
+    D = np.zeros((len(rows), n2, len(cols), n2), dtype=complex)
+    C = np.zeros((len(rows), len(cols)), dtype=complex)
+    for j, I in enumerate(cols):
+        for m in range(1, calc.dim + 1):
+            K, sign = sort_sign(I + (m,))
+            if sign:
+                D[at[K], :, j, :] = ad[m - 1] if sign == (-1) ** k else -ad[m - 1]
+        for pos in range(k):
+            for (a, b), coeff in calc._dh[I[pos]].items():
+                K, sign = sort_sign(I[:pos] + (a, b) + I[pos + 1:])
+                if sign:
+                    C[at[K], j] += (-sign if pos % 2 else sign) * complex(coeff)
+    for r in range(n2):
+        D[:, r, :, r] += C
+    return D.reshape(len(rows) * n2, len(cols) * n2)
+
+
+def _star_table(calc, g):
+    """The star on grade g as a signed permutation of vec entries:
+    vec(hodge a)[j] = sign[j] conj(vec a)[src[j]], h^I E_cr -> h^{I^c} E_rc."""
+    N, n2 = calc.N, calc.N * calc.N
+    at = {I: i for i, I in enumerate(calc.basis_indices(g))}
+    blocks, signs = [], []
+    for Ic in calc.basis_indices(calc.dim - g):
+        I = tuple(x for x in range(1, calc.dim + 1) if x not in Ic)
+        blocks.append(at[I])
+        signs.append(sort_sign(I + Ic)[1])
+    src = (np.array(blocks, dtype=np.intp)[:, None] * n2 + _transposed(n2, N)).ravel()
+    return src, np.repeat(signs, n2)
+
+
+def _transposed(n, N):
+    """Vec positions of the transpose of each N x N block of a length-n vec."""
+    return np.arange(n).reshape(-1, N, N).transpose(0, 2, 1).ravel()
+
+
+def codifferential_matrix(calc, g, side="left"):
+    """Matrix of codifferential from grade g >= 1 to g - 1.
+
+    eps_g S_{d-g+1} conj(D_{d-g}) S_g with S the star's signed permutation
+    and eps_g codifferential's folded sign: d^star as the code defines it,
+    from the star and d, so the Laplacian's hermiticity still tests the
+    star's signs. Both stars are applied as one gather of D's entries.
+    """
+    _check_side(side)
+    d = calc.dim
+    rows, rsign = _star_table(calc, d - g + 1)
+    if (g + (d - g + 1) * (g - 1)) % 2:
+        rsign = -rsign
+    src_in, sign_in = _star_table(calc, g)
+    cols = np.argsort(src_in)  # column i of X S_g is column j of X, src_in[j] = i
+    csign = sign_in[cols]
+    if side == "right":
+        # the involution on both sides, which also undoes the conjugation
+        tr, tc = _transposed(len(rows), calc.N), _transposed(len(cols), calc.N)
+        rows, rsign, cols, csign = rows[tr], rsign[tr], cols[tc], csign[tc]
+    M = d_matrix(calc, d - g)[np.ix_(rows, cols)]
+    if side == "left":
+        np.conjugate(M, out=M)
+    M *= rsign[:, None]
+    M *= csign
+    return M
+
+
+def laplacian_matrix(calc, k, side="left"):
+    """Matrix of laplacian on grade k, D_{k-1} Delta_k + Delta_{k+1} D_k.
+
+    Each pair of factors is built (Delta first, so that the D it is
+    gathered from is gone before the other factor is built), multiplied
+    into the result in place and dropped before the next pair.
+    """
+    n = len(calc.basis_indices(k)) * calc.N ** 2
+    M = np.zeros((n, n), dtype=complex)
+    if k > 0:
+        cod = codifferential_matrix(calc, k, side)
+        np.matmul(d_matrix(calc, k - 1), cod, out=M)
+        del cod
+    if k < calc.dim:
+        A, B = codifferential_matrix(calc, k + 1, side), d_matrix(calc, k)
+        for r in range(0, n, _ROW_BLOCK):
+            M[r:r + _ROW_BLOCK] += A[r:r + _ROW_BLOCK] @ B
+    return M
+
+
+def gram_matrices(calc, grade, side="left"):
+    """(H, G) with H_ij = <L b_j, b_i> and G_ij = <b_j, b_i>, L the Laplacian.
 
     In the h^I E_rc basis both inner products have Gram matrix Id/N, so H
     is the coefficient matrix of the operator scaled by 1/N (conjugated
@@ -180,11 +290,11 @@ def gram_matrices(calc, grade, side="left", operator=None):
     first slot).
     """
     _check_side(side)
-    if operator is None:
-        operator = lambda f: laplacian(f, side)
-    M = operator_matrix(calc, operator, grade)
-    H = M / calc.N if side == "left" else M.conj() / calc.N
-    G = np.eye(M.shape[0]) / calc.N
+    H = laplacian_matrix(calc, grade, side)
+    H /= calc.N
+    if side == "right":
+        np.conjugate(H, out=H)
+    G = np.eye(H.shape[0]) / calc.N
     return H, G
 
 

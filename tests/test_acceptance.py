@@ -338,17 +338,20 @@ def test_criterion_06_laplacian_spectra():
     assert dev <= 1e-10
     herm = 0.0
     floor = 0.0
+    oracle = 0.0
     for side in ("left", "right"):
         for g in range(4):
-            H, G = qr.gram_matrices(CALC, g, side,
-                                    operator=lambda f: qr.laplacian(f, side))
+            H, G = qr.gram_matrices(CALC, g, side)
+            M = qr.operator_matrix(CALC, lambda f: qr.laplacian(f, side), g) / CALC.N
+            oracle = max(oracle, float(np.abs(H - (M if side == "left" else M.conj())).max()))
             herm = max(herm, float(np.abs(H - H.conj().T).max()),
                        float(np.abs(G - G.conj().T).max()))
             floor = min(floor, float(np.min(qr.spectrum(CALC, g, side))))
+    assert oracle <= 1e-12
     assert herm <= 1e-12
     assert floor >= -1e-9
     print(f"criterion 6 PASS: grade-0 spectrum dev {dev:.2e}, "
-          f"hermiticity {herm:.2e}, min eigenvalue {floor:.2e}")
+          f"oracle dev {oracle:.2e}, hermiticity {herm:.2e}, min eigenvalue {floor:.2e}")
 
 
 def test_criterion_07_ym_solver_reaches_flat():

@@ -291,9 +291,18 @@ def test_spectrum_deterministic_bytes(tmp_path):
 
 
 def test_spectrum_n3(tmp_path):
-    out = tmp_path / "s.csv"
-    assert main(["--mode", "spectrum", "--N", "3", "--grade", "0",
-                 "--out", str(out)]) == 0
-    lines = out.read_text().strip().splitlines()
-    vals = sorted(float(line.split(",")[2]) for line in lines[1:])
-    assert np.allclose(vals, [0.0] + [3.0] * 8, atol=1e-9)
+    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["--mode", "spectrum", "--N", "3", "--out", str(out1)]) == 0
+    assert main(["--mode", "spectrum", "--N", "3", "--out", str(out2)]) == 0
+    assert out1.read_bytes() == out2.read_bytes()
+    lines = out1.read_text().strip().splitlines()
+    assert len(lines) == 1 + 2304
+    spectra = {g: [] for g in range(9)}
+    for line in lines[1:]:
+        g, _, val = line.split(",")
+        spectra[int(g)].append(float(val))
+    spectra = {g: np.sort(vals) for g, vals in spectra.items()}
+    assert np.allclose(spectra[0], [0.0] + [3.0] * 8, atol=1e-9)
+    for g in range(9):
+        assert np.allclose(spectra[g], spectra[8 - g], atol=1e-9), g
+        assert spectra[g].min() >= -1e-9, g

@@ -34,7 +34,8 @@ from matym import (
     write_spectrum_csv,
 )
 from matym.cli import main
-from matym.qriemann import form_to_vec, grade_basis, operator_matrix, vec_to_form
+from matym.qriemann import (codifferential_matrix, d_matrix, form_to_vec, grade_basis,
+                             laplacian_matrix, operator_matrix, vec_to_form)
 
 
 def oracle_hodge(a):
@@ -365,6 +366,41 @@ def test_operator_matrix_reproduces_d(calc, rng):
     a = calc.random_form(1, rng)
     got = M @ form_to_vec(a, [1])
     assert np.allclose(got, form_to_vec(a.d(), [2]), atol=1e-13)
+
+
+# The per-basis-form assembly (operator_matrix of the dict operators) is
+# the oracle for the index-table matrices that the spectrum is built from.
+
+def _max_dev(A, B):
+    assert A.shape == B.shape
+    return float(np.max(np.abs(A - B), initial=0.0))
+
+
+@pytest.mark.parametrize("calc_name", ["calc", "calc3"])
+def test_d_matrix_matches_oracle(calc_name, request):
+    calc = request.getfixturevalue(calc_name)
+    for k in range(calc.dim):
+        want = operator_matrix(calc, DiffForm.d, k, k + 1)
+        assert _max_dev(d_matrix(calc, k), want) <= 1e-12, k
+
+
+@pytest.mark.parametrize("calc_name", ["calc", "calc3"])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_codifferential_matrix_matches_oracle(calc_name, side, request):
+    calc = request.getfixturevalue(calc_name)
+    for g in range(1, calc.dim + 1):
+        want = operator_matrix(calc, lambda f: codifferential(f, side), g, g - 1)
+        assert _max_dev(codifferential_matrix(calc, g, side), want) <= 1e-12, g
+
+
+@pytest.mark.parametrize("calc_name, grades", [("calc", (0, 1, 2, 3)),
+                                               ("calc3", (0, 1, 7, 8))])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_laplacian_matrix_matches_oracle(calc_name, grades, side, request):
+    calc = request.getfixturevalue(calc_name)
+    for k in grades:
+        want = operator_matrix(calc, lambda f: laplacian(f, side), k)
+        assert _max_dev(laplacian_matrix(calc, k, side), want) <= 1e-12, k
 
 
 def test_write_spectrum_csv(calc, tmp_path):
