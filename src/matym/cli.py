@@ -46,7 +46,6 @@ _DEFAULTS = {
     "vary_connection": True,
     "vary_left": True,
     "vary_right": True,
-    "fd_step": 1e-7,
 }
 
 
@@ -128,7 +127,6 @@ def validate_config(cfg):
     _require_int(cfg, "max_iter", minimum=1)
     cfg["potential"] = _parse_potential(cfg["potential"])
     _require_float(cfg, "tol", positive=True)
-    _require_float(cfg, "fd_step", positive=True)
     if cfg["method"] not in fd.METHODS:
         raise ConfigError("method", f"expected one of {fd.METHODS}, got {cfg['method']!r}")
     if cfg["grade"] is not None:
@@ -227,7 +225,6 @@ def _run_solve(cfg):
     cfg0 = _build_solve_configuration(cfg, calc, rng)
     options = fd.SolverOptions(
         tol=cfg["tol"], max_iter=cfg["max_iter"], method=cfg["method"],
-        fd_step=cfg["fd_step"],
         vary_connection=cfg["vary_connection"], vary_left=cfg["vary_left"],
         vary_right=cfg["vary_right"])
     initial_actions = fd.action_summary(cfg0)

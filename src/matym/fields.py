@@ -332,6 +332,7 @@ def flat_potential(conn):
 # -- stationary-point solver ----------------------------------------------
 
 METHODS = ("gd", "gauss_newton")
+FD_STEP = 1e-7  # central-difference step of the Jacobian
 
 
 @dataclass
@@ -339,7 +340,6 @@ class SolverOptions:
     tol: float = 1e-8
     max_iter: int = 100_000
     method: str = "gauss_newton"  # one of METHODS; both name the same loop
-    fd_step: float = 1e-7
     vary_connection: bool = True
     vary_left: bool = True
     vary_right: bool = True
@@ -490,7 +490,6 @@ def solve_stationary(cfg0, options=None):
     value, r = phi(x)
     if not np.isfinite(value):
         raise SolverAbort("initial configuration has non-finite residuals")
-    h = options.fd_step
     iterations = 0
     converged = np.sqrt(value) <= options.tol
     notes = ""
@@ -503,9 +502,9 @@ def solve_stationary(cfg0, options=None):
         J = np.empty((len(r), m))
         for i in range(m):
             xp, xm = x.copy(), x.copy()
-            xp[i] += h
-            xm[i] -= h
-            J[:, i] = (resid(xp) - resid(xm)) / (2 * h)
+            xp[i] += FD_STEP
+            xm[i] -= FD_STEP
+            J[:, i] = (resid(xp) - resid(xm)) / (2 * FD_STEP)
         if not np.all(np.isfinite(J)):
             raise SolverAbort("non-finite Jacobian in line search setup")
         dx, *_ = np.linalg.lstsq(J, -r, rcond=None)

@@ -179,7 +179,7 @@ def operator_matrix(calc, op, grades_in, grades_out=None):
 # Float only: an exact calculus' generators and structure constants are
 # converted to complex, as operator_matrix converts its columns.
 
-_ROW_BLOCK = 128  # rows per product added in place by laplacian_matrix
+_ROW_BLOCK = 128  # rows of the second product added in place by gram_matrices
 
 
 def d_matrix(calc, k):
@@ -261,48 +261,41 @@ def codifferential_matrix(calc, g, side="left"):
     return M
 
 
-def laplacian_matrix(calc, k, side="left"):
-    """Matrix of laplacian on grade k, D_{k-1} Delta_k + Delta_{k+1} D_k.
-
-    Each pair of factors is built (Delta first, so that the D it is
-    gathered from is gone before the other factor is built), multiplied
-    into the result in place and dropped before the next pair.
-    """
-    n = len(calc.basis_indices(k)) * calc.N ** 2
-    M = np.zeros((n, n), dtype=complex)
-    if k > 0:
-        cod = codifferential_matrix(calc, k, side)
-        np.matmul(d_matrix(calc, k - 1), cod, out=M)
-        del cod
-    if k < calc.dim:
-        A, B = codifferential_matrix(calc, k + 1, side), d_matrix(calc, k)
-        for r in range(0, n, _ROW_BLOCK):
-            M[r:r + _ROW_BLOCK] += A[r:r + _ROW_BLOCK] @ B
-    return M
-
-
 def gram_matrices(calc, grade, side="left"):
-    """(H, G) with H_ij = <L b_j, b_i> and G_ij = <b_j, b_i>, L the Laplacian.
+    """(H, G) with H_ij = <L b_j, b_i> and G_ij = <b_j, b_i>, L the Laplacian
+    on grade k = grade.
 
     In the h^I E_rc basis both inner products have Gram matrix Id/N, so H
-    is the coefficient matrix of the operator scaled by 1/N (conjugated
-    entrywise on the right side, whose inner product is antilinear in the
-    first slot).
+    is the coefficient matrix D_{k-1} Delta_k + Delta_{k+1} D_k of the
+    operator scaled by 1/N (conjugated entrywise on the right side, whose
+    inner product is antilinear in the first slot). Each pair of factors
+    is built (Delta first, so that the D it is gathered from is gone before
+    the other factor is built), multiplied into H in place and dropped
+    before anything else is allocated.
     """
     _check_side(side)
-    H = laplacian_matrix(calc, grade, side)
+    n = len(calc.basis_indices(grade)) * calc.N ** 2
+    H = np.zeros((n, n), dtype=complex)
+    if grade > 0:
+        cod = codifferential_matrix(calc, grade, side)
+        np.matmul(d_matrix(calc, grade - 1), cod, out=H)
+        del cod
+    if grade < calc.dim:
+        A, B = codifferential_matrix(calc, grade + 1, side), d_matrix(calc, grade)
+        for r in range(0, n, _ROW_BLOCK):
+            H[r:r + _ROW_BLOCK] += A[r:r + _ROW_BLOCK] @ B
+        del A, B
     H /= calc.N
     if side == "right":
         np.conjugate(H, out=H)
-    G = np.eye(H.shape[0]) / calc.N
+    G = np.eye(n) / calc.N
     return H, G
 
 
 def spectrum(calc, grade, side="left"):
-    """Ascending real eigenvalues of the Laplacian on grade-k forms."""
+    """Ascending real eigenvalues of the Laplacian on grade-k forms, the
+    generalized hermitian eigenproblem of gram_matrices."""
     H, G = gram_matrices(calc, grade, side)
-    if H.shape[0] == 0:
-        return np.zeros(0)
     herm_defect = np.max(np.abs(H - H.conj().T))
     if herm_defect > 1e-9:
         raise ValueError(f"Laplacian Gram matrix not hermitian (defect {herm_defect:.3e})")

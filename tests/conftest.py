@@ -1,3 +1,10 @@
+import os
+
+# One BLAS thread: the eigensolves oversubscribe a small host's cores when
+# another process runs beside the suite. Set before numpy is imported.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 

@@ -44,7 +44,7 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
 
 def test_unknown_field_exits_2(tmp_path, capsys):
     cfg = tmp_path / "c.json"
-    for field in ("tolerance", "initial_step"):
+    for field in ("tolerance", "initial_step", "fd_step"):
         cfg.write_text(json.dumps({field: 1e-8}))
         assert main(["--config", str(cfg)]) == 2
         assert field in capsys.readouterr().err
@@ -275,12 +275,27 @@ def test_spectrum_grade0(tmp_path):
     assert np.allclose(vals, [0, 2, 2, 2], atol=1e-10)
 
 
+def _check_all_grades_csv(path, N):
+    # every grade: 2^d N^2 rows, grade 0 = {0, N x d}, spec(k) = spec(d - k), PSD
+    d = N * N - 1
+    lines = path.read_text().strip().splitlines()
+    assert len(lines) == 1 + 2 ** d * N * N
+    assert {int(line.split(",")[0]) for line in lines[1:]} == set(range(d + 1))
+    spectra = {g: [] for g in range(d + 1)}
+    for line in lines[1:]:
+        g, _, val = line.split(",")
+        spectra[int(g)].append(float(val))
+    spectra = {g: np.sort(vals) for g, vals in spectra.items()}
+    assert np.allclose(spectra[0], [0.0] + [float(N)] * d, atol=1e-9)
+    for g in range(d + 1):
+        assert np.allclose(spectra[g], spectra[d - g], atol=1e-9), g
+        assert spectra[g].min() >= -1e-9, g
+
+
 def test_spectrum_all_grades(tmp_path):
     out = tmp_path / "s.csv"
     assert main(["--mode", "spectrum", "--out", str(out)]) == 0
-    lines = out.read_text().strip().splitlines()
-    assert len(lines) == 1 + 32
-    assert {int(line.split(",")[0]) for line in lines[1:]} == {0, 1, 2, 3}
+    _check_all_grades_csv(out, 2)
 
 
 def test_spectrum_deterministic_bytes(tmp_path):
@@ -295,14 +310,4 @@ def test_spectrum_n3(tmp_path):
     assert main(["--mode", "spectrum", "--N", "3", "--out", str(out1)]) == 0
     assert main(["--mode", "spectrum", "--N", "3", "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
-    lines = out1.read_text().strip().splitlines()
-    assert len(lines) == 1 + 2304
-    spectra = {g: [] for g in range(9)}
-    for line in lines[1:]:
-        g, _, val = line.split(",")
-        spectra[int(g)].append(float(val))
-    spectra = {g: np.sort(vals) for g, vals in spectra.items()}
-    assert np.allclose(spectra[0], [0.0] + [3.0] * 8, atol=1e-9)
-    for g in range(9):
-        assert np.allclose(spectra[g], spectra[8 - g], atol=1e-9), g
-        assert spectra[g].min() >= -1e-9, g
+    _check_all_grades_csv(out1, 3)

@@ -12,6 +12,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -35,7 +36,7 @@ from matym import (
 )
 from matym.cli import main
 from matym.qriemann import (codifferential_matrix, d_matrix, form_to_vec, grade_basis,
-                             laplacian_matrix, operator_matrix, vec_to_form)
+                             operator_matrix, vec_to_form)
 
 
 def oracle_hodge(a):
@@ -393,14 +394,26 @@ def test_codifferential_matrix_matches_oracle(calc_name, side, request):
         assert _max_dev(codifferential_matrix(calc, g, side), want) <= 1e-12, g
 
 
-@pytest.mark.parametrize("calc_name, grades", [("calc", (0, 1, 2, 3)),
-                                               ("calc3", (0, 1, 7, 8))])
 @pytest.mark.parametrize("side", ["left", "right"])
-def test_laplacian_matrix_matches_oracle(calc_name, grades, side, request):
-    calc = request.getfixturevalue(calc_name)
-    for k in grades:
-        want = operator_matrix(calc, lambda f: laplacian(f, side), k)
-        assert _max_dev(laplacian_matrix(calc, k, side), want) <= 1e-12, k
+def test_gram_matrices_matches_oracle(calc3, side):
+    # N=2, every grade, is acceptance criterion 6
+    for k in (0, 1, 7, 8):
+        want = operator_matrix(calc3, lambda f: laplacian(f, side), k) / calc3.N
+        if side == "right":
+            want = want.conj()
+        assert _max_dev(gram_matrices(calc3, k, side)[0], want) <= 1e-12, k
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_spectrum_matches_gram_pair_oracle(calc, side):
+    # whichever eigenproblem spectrum solves, its eigenvalues are those of
+    # the Gram pair (L/N, Id/N) of the per-basis-form operator
+    for k in range(calc.dim + 1):
+        M = operator_matrix(calc, lambda f: laplacian(f, side), k) / calc.N
+        if side == "right":
+            M = M.conj()
+        want = scipy.linalg.eigvalsh(M, np.eye(len(M)) / calc.N)
+        assert _max_dev(spectrum(calc, k, side), want) <= 1e-12, k
 
 
 def test_write_spectrum_csv(calc, tmp_path):
