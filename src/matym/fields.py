@@ -12,11 +12,18 @@ against central finite differences in the test suite:
 The residual operations return the field equations in their printed
 shapes (zero sets define stationarity); `analytic_gradient` applies the
 constants above, and `action_gradient_fd` is the independent oracle.
+
+The form path (`ymsm_connection_residual`, `ymsm_section_residuals`)
+states the field equations on DiffForms in either scalar field: the exact
+API and the oracle. The solver's `residual_blocks` evaluates them in
+complex floats from three operator tables per calculus, D_0, Delta_1 and
+Delta_2 D_1, built on first use and dropped with the calculus.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,8 +31,8 @@ import numpy as np
 from .matforms import CONVENTIONS_ID, dagger
 from .qbundle import (ChargedSection, GaugeConnection, QvbForm,
                       cov_codifferential, cov_derivative, section_inner)
-from .qriemann import (codifferential, d_matrix, form_to_vec, hodge_inner, metric,
-                       state, vec_to_form)
+from .qriemann import (codifferential, codifferential_matrix, d_matrix, form_to_vec,
+                       hodge_inner, metric, state, vec_to_form)
 
 
 class PolynomialPotential:
@@ -313,6 +320,24 @@ def analytic_gradient(cfg, direction):
     return sc.frac(-1, 4) * hodge_inner(r2.form, v, "right")
 
 
+# -- operator tables -----------------------------------------------------
+
+_TABLES = weakref.WeakKeyDictionary()
+
+
+def _tables(calc):
+    """(D_0, Delta_1, Delta_2 D_1) of the calculus, built on first use and
+    kept for as long as the calculus lives."""
+    tables = _TABLES.get(calc)
+    if tables is None:
+        tables = _TABLES[calc] = (
+            d_matrix(calc, 0),
+            codifferential_matrix(calc, 1),
+            codifferential_matrix(calc, 2) @ d_matrix(calc, 1),
+        )
+    return tables
+
+
 # -- flatness -----------------------------------------------------------
 
 def flat_potential(conn):
@@ -322,7 +347,7 @@ def flat_potential(conn):
     zero exactly when A is flat.
     """
     calc = conn.calc
-    D0 = d_matrix(calc, 0)
+    D0 = _tables(calc)[0]
     target = form_to_vec(conn.A, [1])
     x, *_ = np.linalg.lstsq(D0, target, rcond=None)
     defect = float(np.linalg.norm(D0 @ x - target))
@@ -395,14 +420,55 @@ def action_summary(cfg):
 
 
 def residual_blocks(cfg):
-    """Stacked field-equation values, keyed per equation."""
-    blocks = {"connection": form_to_vec(ymsm_connection_residual(cfg), [1])}
-    if cfg.has_sections:
-        r1, r2 = ymsm_section_residuals(cfg)
-        if r1 is not None:
-            blocks["left"] = np.asarray(r1.form.component(()), dtype=complex).ravel()
-        if r2 is not None:
-            blocks["right"] = np.asarray(r2.form.component(()), dtype=complex).ravel()
+    """Stacked field-equation values, keyed per equation, in form_to_vec order.
+
+    The equations of ymsm_connection_residual and ymsm_section_residuals
+    on the N x N blocks A_j, a and b, from the operator tables:
+        connection  -(1/n)(p1+ (D_0 p1)_j - p2 (D_0 p2+)_j)
+                    + p1+ p1 A_j - p2 p2+ A_j - 2 (Delta_2 D_1 A)_j,
+                    p1 = n a, p2 = -n b; Delta_2 D_1 A alone if n = 0 or no sections;
+        left        Delta_1 q - n sum_j q_j A_j+ - V'(a a+)+ a,  q_j = (D_0 a)_j - n a A_j;
+        right       (Delta_1 q+ + m sum_j q_j+ A_j+)+ - b V'(b+ b)+,
+                    q_j = (D_0 b)_j + m A_j+ b.
+    """
+    calc = cfg.calc
+    N = calc.N
+    D0, cod1, dstar_d = _tables(calc)
+
+    def d0(p):
+        return (D0 @ p.ravel()).reshape(-1, N, N)
+
+    def cod(q):
+        return (cod1 @ q.ravel()).reshape(N, N)
+
+    vec_A = form_to_vec(cfg.connection.A, [1])
+    A = vec_A.reshape(-1, N, N)
+    Ah = A.conj().transpose(0, 2, 1)
+    zero = np.zeros((N, N), dtype=complex)
+    a = zero if cfg.left is None else np.asarray(cfg.left.p, dtype=complex)
+    b = zero if cfg.right is None else np.asarray(cfg.right.p, dtype=complex)
+    V = cfg.potential
+    n = cfg.charge
+    ym = dstar_d @ vec_A
+    if n and cfg.has_sections:
+        p1, p2 = n * a, -n * b
+        p1h, p2h = dagger(p1), dagger(p2)
+        E = (p1h @ d0(p1) - p2 @ d0(p2h)) * (-1 / n)
+        E += (p1h @ p1) @ A  # two products as on the form path: solves follow rounding
+        E -= (p2 @ p2h) @ A
+        E -= 2 * ym.reshape(-1, N, N)
+        blocks = {"connection": E.ravel()}
+    else:
+        blocks = {"connection": ym}
+    if cfg.left is not None:
+        q = d0(a) - n * (a @ A)
+        box = cod(q) - n * (q @ Ah).sum(axis=0)
+        blocks["left"] = (box - dagger(V.derivative(a @ dagger(a))) @ a).ravel()
+    if cfg.right is not None:
+        m = cfg.right.charge
+        qh = (d0(b) + m * (Ah @ b)).conj().transpose(0, 2, 1)
+        box = dagger(cod(qh) + m * (qh @ Ah).sum(axis=0))
+        blocks["right"] = (box - b @ dagger(V.derivative(dagger(b) @ b))).ravel()
     return blocks
 
 

@@ -37,7 +37,8 @@ from matym import (
     ymsm_connection_residual,
     ymsm_section_residuals,
 )
-from matym.fields import action_summary, residual_norms
+from matym.fields import action_summary, residual_blocks, residual_norms
+from matym.qriemann import form_to_vec
 
 
 def soliton(calc):
@@ -241,6 +242,31 @@ def test_triplet2_analytic_matches_fd(calc, rng):
                 continue  # both vanish: the stationary connection direction
             worst = max(worst, abs(g_fd - g_an) / max(abs(g_fd), abs(g_an)))
     assert worst < 1e-5
+
+
+# -- the solver's residual against the form path ------------------------------
+
+@pytest.mark.parametrize("charge", [-2, -1, 0, 1, 2])
+@pytest.mark.parametrize("sections", ["both", "left", "right", "none"])
+@pytest.mark.parametrize("N", [2, 3])
+def test_residual_blocks_matches_form_oracle(calc, calc3, rng, N, charge, sections):
+    calc = calc if N == 2 else calc3
+    cfg = random_configuration(calc, rng, charge=charge,
+                               potential=PolynomialPotential([1, 2, -0.5]))
+    cfg = FieldConfiguration(cfg.connection,
+                             cfg.left if sections in ("both", "left") else None,
+                             cfg.right if sections in ("both", "right") else None,
+                             cfg.potential)
+    ref = {"connection": form_to_vec(ymsm_connection_residual(cfg), [1])}
+    r1, r2 = ymsm_section_residuals(cfg)
+    for key, r in (("left", r1), ("right", r2)):
+        if r is not None:
+            ref[key] = np.asarray(r.form.component(()), dtype=complex).ravel()
+    got = residual_blocks(cfg)
+    assert set(got) == set(ref)
+    for key, want in ref.items():
+        bound = 1e-12 * max(1.0, np.max(np.abs(want)))
+        assert np.max(np.abs(got[key] - want)) <= bound, key
 
 
 # -- variational consistency ------------------------------------------------------
