@@ -210,8 +210,10 @@ def _config_echo(cfg):
     return echo
 
 
-def _run_verify(cfg):
-    body = run_verification(cfg["seed"], cfg["N"], cfg["strict_conventions"])
+def _run_verify(cfg, timing):
+    timing["checks"] = {}
+    body = run_verification(cfg["seed"], cfg["N"], cfg["strict_conventions"],
+                            check_seconds=timing["checks"])
     body["config"] = _config_echo(cfg)
     summary = body["summary"]
     line = (f"verify: {summary['passed']}/{summary['total']} checks passed, "
@@ -327,9 +329,10 @@ def main(argv=None):
 
     started = time.time()
     stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    timing = {"generated_at": stamp}
     try:
         if cfg["mode"] == "verify":
-            body, line, code = _run_verify(cfg)
+            body, line, code = _run_verify(cfg, timing)
         elif cfg["mode"] == "solve":
             body, line, code = _run_solve(cfg)
         else:
@@ -344,10 +347,8 @@ def main(argv=None):
         print(f"matym: solver aborted: {exc}", file=sys.stderr)
         return 1
 
-    document = {
-        "report": body,
-        "timing": {"generated_at": stamp, "elapsed_seconds": time.time() - started},
-    }
+    timing["elapsed_seconds"] = time.time() - started
+    document = {"report": body, "timing": timing}
     _emit(cfg["out"] or "report.json",
           json.dumps(document, indent=2, sort_keys=True) + "\n")
     print(line)

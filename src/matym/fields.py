@@ -11,13 +11,16 @@ against central finite differences in the test suite:
 
 The residual operations return the field equations in their printed
 shapes (zero sets define stationarity); `analytic_gradient` applies the
-constants above, and `action_gradient_fd` is the independent oracle.
+constants above, and `action_gradient_fd` is the independent oracle: it
+differentiates the action, never the field equations it is compared with.
 
-The form path (`ymsm_connection_residual`, `ymsm_section_residuals`)
-states the field equations on DiffForms in either scalar field: the exact
-API and the oracle. The solver's `residual_blocks` evaluates them in
-complex floats from three operator tables per calculus, D_0, Delta_1 and
-Delta_2 D_1, built on first use and dropped with the calculus.
+The form path (the actions `ym_action`, `gsm_action`, `ymsm_action` and
+the equations `ymsm_connection_residual`, `ymsm_section_residuals`)
+works on DiffForms in either scalar field: the exact API and the oracle.
+Two float evaluations on coefficient arrays read operator tables built
+once per calculus on first use and dropped with it (D_0, Delta_1,
+Delta_2 D_1 and D_1): the solver's `residual_blocks`, and
+`_table_action`, the action that `action_gradient_fd` differentiates.
 """
 
 from __future__ import annotations
@@ -145,15 +148,6 @@ class VariationDirection:
     @classmethod
     def right(cls, matrix):
         return cls("right", matrix)
-
-
-def shifted(cfg, direction, z):
-    """cfg moved by z times the direction; the FD oracle's probe."""
-    if direction.kind == "connection":
-        return cfg.replace(connection=GaugeConnection(cfg.connection.A + z * direction.value))
-    if direction.kind == "left":
-        return cfg.replace(left_p=cfg.left.p + z * cfg.calc.matrix(direction.value))
-    return cfg.replace(right_p=cfg.right.p + z * cfg.calc.matrix(direction.value))
 
 
 # -- actions --------------------------------------------------------------
@@ -290,16 +284,33 @@ def continuity_residual(conn):
 
 def action_gradient_fd(cfg, direction, step=1e-6):
     """Wirtinger derivative d/dz of the total action along the direction,
-    by central differences in the real and imaginary parts."""
+    by central differences in the real and imaginary parts.
+
+    The action is `_table_action` on the coefficient arrays (A_j, a, b)
+    moved by z times the direction: the Lagrangian of ymsm_action written
+    on the operator tables, never the field equations it is compared with.
+    """
     if step <= 0:
         raise ValueError("step must be positive")
+    calc = cfg.calc
+    N = calc.N
+    A, a, b = _coefficient_arrays(cfg)
+    if direction.kind == "connection":
+        shift = form_to_vec(direction.value, [1]).reshape(-1, N, N)
+    else:
+        shift = np.asarray(calc.matrix(direction.value), dtype=complex)
 
     def S(z):
-        return complex(ymsm_action(shifted(cfg, direction, z)))
+        moved = z * shift
+        if direction.kind == "connection":
+            return _table_action(cfg, A + moved, a, b)
+        if direction.kind == "left":
+            return _table_action(cfg, A, a + moved, b)
+        return _table_action(cfg, A, a, b + moved)
 
     d_re = (S(step) - S(-step)) / (2 * step)
     d_im = (S(1j * step) - S(-1j * step)) / (2 * step)
-    return 0.5 * (d_re - 1j * d_im)
+    return complex(0.5 * (d_re - 1j * d_im))
 
 
 def analytic_gradient(cfg, direction):
@@ -326,16 +337,54 @@ _TABLES = weakref.WeakKeyDictionary()
 
 
 def _tables(calc):
-    """(D_0, Delta_1, Delta_2 D_1) of the calculus, built on first use and
-    kept for as long as the calculus lives."""
+    """(D_0, Delta_1, Delta_2 D_1, D_1) of the calculus, built on first use
+    and kept for as long as the calculus lives."""
     tables = _TABLES.get(calc)
     if tables is None:
+        D1 = d_matrix(calc, 1)
         tables = _TABLES[calc] = (
             d_matrix(calc, 0),
             codifferential_matrix(calc, 1),
-            codifferential_matrix(calc, 2) @ d_matrix(calc, 1),
+            codifferential_matrix(calc, 2) @ D1,
+            D1,
         )
     return tables
+
+
+def _coefficient_arrays(cfg):
+    """(A, a, b): the connection's (d, N, N) coefficient blocks and the
+    section matrices in complex floats, None for an absent section."""
+    N = cfg.calc.N
+    A = form_to_vec(cfg.connection.A, [1]).reshape(-1, N, N)
+    a = None if cfg.left is None else np.asarray(cfg.left.p, dtype=complex)
+    b = None if cfg.right is None else np.asarray(cfg.right.p, dtype=complex)
+    return A, a, b
+
+
+def _table_action(cfg, A, a, b):
+    """ymsm_action of cfg's charges and potential at the coefficient arrays
+    (A, a, b) of `_coefficient_arrays`, in complex floats, s = tr/N:
+        ym   -1/4 [s(sum_I F_I F_I+) + s(sum_I Fh_I+ Fh_I)],
+             F = D_1 A, Fh = -D_1 A+ (blockwise dagger);
+        gsm  s(1/4 [sum_j q1_j q1_j+ - V(a a+) - sum_j q2_j+ q2_j + V(b+ b)]),
+             q1_j = (D_0 a)_j - n a A_j, q2_j = (D_0 b)_j + m A_j+ b,
+    each section's terms present only with the section. s(sum x x+) and
+    s(sum x+ x) are both |x|^2 / N.
+    """
+    N = cfg.calc.N
+    D0, _, _, D1 = _tables(cfg.calc)
+    Ah = A.conj().transpose(0, 2, 1)
+    F = D1 @ A.ravel()
+    Fh = D1 @ Ah.ravel()  # -Fh, whose sign drops out
+    total = -0.25 * (np.vdot(F, F) + np.vdot(Fh, Fh)) / N
+    V = cfg.potential
+    if a is not None:
+        q1 = (D0 @ a.ravel()).reshape(-1, N, N) - cfg.left.charge * (a @ A)
+        total += 0.25 * (np.vdot(q1, q1) / N - state(V(a @ dagger(a))))
+    if b is not None:
+        q2 = (D0 @ b.ravel()).reshape(-1, N, N) + cfg.right.charge * (Ah @ b)
+        total -= 0.25 * (np.vdot(q2, q2) / N - state(V(dagger(b) @ b)))
+    return total
 
 
 # -- flatness -----------------------------------------------------------
@@ -433,7 +482,7 @@ def residual_blocks(cfg):
     """
     calc = cfg.calc
     N = calc.N
-    D0, cod1, dstar_d = _tables(calc)
+    D0, cod1, dstar_d, _ = _tables(calc)
 
     def d0(p):
         return (D0 @ p.ravel()).reshape(-1, N, N)

@@ -111,7 +111,8 @@ class DerivationCalculus:
 
     Holds the generator basis, the structure constants of the derivation
     Lie algebra, and the coframe differential table; acts as the factory
-    for forms. All values are immutable.
+    for forms. All values are immutable; the index rules of d and wedge
+    are derived from them per index tuple on first use and remembered.
     """
 
     def __init__(self, N=2, exact=False):
@@ -128,6 +129,8 @@ class DerivationCalculus:
         self.structure = self._build_structure()
         self._dh = self._build_coframe_differential()
         self.volume_indices = tuple(range(1, self.dim + 1))
+        self._d_rules = {}  # index tuple -> d_rule
+        self._sorted = {}  # index tuple -> sorted_sign
 
     # -- construction of the basis data ---------------------------------
 
@@ -214,6 +217,38 @@ class DerivationCalculus:
                 raise DimensionError(f"expected {self.N}x{self.N} matrix, got {m.shape}")
         return m
 
+    def sorted_sign(self, indices):
+        """sort_sign(indices), remembered per tuple: wedge's index rule."""
+        rule = self._sorted.get(indices)
+        if rule is None:
+            rule = self._sorted[indices] = sort_sign(indices)
+        return rule
+
+    def d_rule(self, I):
+        """The index rule of d on h^I p, compiled on first use of I.
+
+        Returns (coefficient part, coframe part): d(h^I p) is the sum of
+        sign h^K derive(m, p) over the (m, K, sign) of the first, which is
+        (-1)^k h^I wedge dp, and of c h^K p over the (K, c) of the second,
+        which replaces each h^{i_pos} by dh^{i_pos} with the Leibniz sign.
+        """
+        rule = self._d_rules.get(I)
+        if rule is None:
+            k = len(I)
+            coefficient = []
+            for m in range(1, self.dim + 1):
+                K, sign = sort_sign(I + (m,))
+                if sign:
+                    coefficient.append((m, K, -sign if k % 2 else sign))
+            coframe = []
+            for pos in range(k):
+                for (a, b), coeff in self._dh[I[pos]].items():
+                    K, sign = sort_sign(I[:pos] + (a, b) + I[pos + 1:])
+                    if sign:
+                        coframe.append((K, (-sign if pos % 2 else sign) * coeff))
+            rule = self._d_rules[I] = (tuple(coefficient), tuple(coframe))
+        return rule
+
     def derive(self, k, p):
         """The k-th basis derivation, p -> i [S_k, p] (1-based k)."""
         S = self.generators[k - 1]
@@ -294,7 +329,7 @@ class DiffForm:
         # internal fast path: trusted dict of proper matrices
         obj = object.__new__(cls)
         obj.calc = calc
-        obj.terms = {I: p for I, p in terms.items() if np.any(p)}
+        obj.terms = {I: p for I, p in terms.items() if np.count_nonzero(p)}
         return obj
 
     # -- structure -------------------------------------------------------
@@ -386,10 +421,11 @@ class DiffForm:
 
     def wedge(self, other):
         self._check_compatible(other)
+        rule = self.calc.sorted_sign
         out = {}
         for I, p in self.terms.items():
             for J, q in other.terms.items():
-                K, sign = sort_sign(I + J)
+                K, sign = rule(I + J)
                 if sign == 0:
                     continue
                 m = p @ q if sign == 1 else -(p @ q)
@@ -397,33 +433,19 @@ class DiffForm:
         return DiffForm._raw(self.calc, out)
 
     def d(self):
-        """Chevalley-Eilenberg differential."""
+        """Chevalley-Eilenberg differential, by the calculus' d_rule."""
         calc = self.calc
         out = {}
-
-        def acc(K, m):
-            out[K] = out[K] + m if K in out else m
-
         for I, p in self.terms.items():
-            k = len(I)
-            # coefficient part: (-1)^k h^I wedge dp, dp = sum_m h^m i[S_m, p]
-            for m in range(1, calc.dim + 1):
-                K, sign = sort_sign(I + (m,))
-                if sign == 0:
-                    continue
+            coefficient, coframe = calc.d_rule(I)
+            for m, K, sign in coefficient:
                 dp = calc.derive(m, p)
-                if (k % 2) == 1:
-                    sign = -sign
-                acc(K, dp if sign == 1 else -dp)
-            # coframe part: replace h^{i_pos} by dh^{i_pos} with Leibniz sign
-            for pos in range(k):
-                for (a, b), coeff in calc._dh[I[pos]].items():
-                    K, sign = sort_sign(I[:pos] + (a, b) + I[pos + 1:])
-                    if sign == 0:
-                        continue
-                    if pos % 2 == 1:
-                        sign = -sign
-                    acc(K, (sign * coeff) * p)
+                if sign != 1:
+                    dp = -dp
+                out[K] = out[K] + dp if K in out else dp
+            for K, c in coframe:
+                q = c * p
+                out[K] = out[K] + q if K in out else q
         return DiffForm._raw(calc, out)
 
     def star(self):

@@ -187,7 +187,7 @@ def d_matrix(calc, k):
 
     ad_m = i(S_m (x) 1 - 1 (x) S_m^T) is p -> i[S_m, p] on row-major
     entries; E_m (h^I to the signed h^{I+m}) and C_k (the coframe part)
-    come from the sort_sign and _dh rules of DiffForm.d.
+    are the calculus' d_rule, the index rule DiffForm.d applies.
     """
     N, n2 = calc.N, calc.N * calc.N
     rows, cols = calc.basis_indices(k + 1), calc.basis_indices(k)
@@ -200,15 +200,11 @@ def d_matrix(calc, k):
     D = np.zeros((len(rows), n2, len(cols), n2), dtype=complex)
     C = np.zeros((len(rows), len(cols)), dtype=complex)
     for j, I in enumerate(cols):
-        for m in range(1, calc.dim + 1):
-            K, sign = sort_sign(I + (m,))
-            if sign:
-                D[at[K], :, j, :] = ad[m - 1] if sign == (-1) ** k else -ad[m - 1]
-        for pos in range(k):
-            for (a, b), coeff in calc._dh[I[pos]].items():
-                K, sign = sort_sign(I[:pos] + (a, b) + I[pos + 1:])
-                if sign:
-                    C[at[K], j] += (-sign if pos % 2 else sign) * complex(coeff)
+        coefficient, coframe = calc.d_rule(I)
+        for m, K, sign in coefficient:
+            D[at[K], :, j, :] = ad[m - 1] if sign == 1 else -ad[m - 1]
+        for K, c in coframe:
+            C[at[K], j] += complex(c)
     for r in range(n2):
         D[:, r, :, r] += C
     return D.reshape(len(rows) * n2, len(cols) * n2)

@@ -117,7 +117,8 @@ def test_potential_flag_parsing(tmp_path):
 def test_verify_report_shape(tmp_path, capsys):
     out = tmp_path / "r.json"
     assert main(["--mode", "verify", "--seed", "0", "--out", str(out)]) == 0
-    rep = read_report(out)["report"]
+    doc = read_report(out)
+    rep = doc["report"]
     assert rep["mode"] == "verify"
     assert rep["conventions_id"]
     passed = [c for c in rep["checks"] if c["status"] == "pass"]
@@ -127,6 +128,12 @@ def test_verify_report_shape(tmp_path, capsys):
     assert len(names) == len(rep["checks"])  # names are unique
     stdout = capsys.readouterr().out
     assert "checks passed" in stdout
+    # per-check wall-clock seconds, outside the deterministic report
+    seconds = doc["timing"]["checks"]
+    assert set(seconds) == names
+    assert all(s >= 0 for s in seconds.values())
+    elapsed = doc["timing"]["elapsed_seconds"]
+    assert abs(sum(seconds.values()) - elapsed) <= 0.05 * elapsed
 
 
 def test_verify_deterministic(tmp_path):
@@ -143,6 +150,15 @@ def _verify_check_at_n3(name):
     from matym.verify import _CHECKS, _Ctx
     check = {n: fn for n, _, fn in _CHECKS}[name]
     return check(_Ctx(seed=0, N=3))
+
+
+@pytest.mark.slow
+def test_verify_n3_all_checks_pass(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert main(["--mode", "verify", "--N", "3", "--out", str(out)]) == 0
+    summary = read_report(out)["report"]["summary"]
+    assert summary["passed"] == summary["total"] == 56
+    assert "verify: 56/56 checks passed" in capsys.readouterr().out
 
 
 def test_exact_numeric_cross_check_at_n3():

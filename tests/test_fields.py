@@ -2,8 +2,9 @@
 
 The load-bearing oracle is finite differencing of the actions: every
 analytic residual is checked against a central-difference directional
-derivative, which only uses the action implementations and the pairing
-constants documented in the module header.
+derivative, which only uses the action (on the operator tables, pinned to
+the form-path actions below) and the pairing constants documented in the
+module header.
 """
 
 import numpy as np
@@ -37,7 +38,8 @@ from matym import (
     ymsm_connection_residual,
     ymsm_section_residuals,
 )
-from matym.fields import action_summary, residual_blocks, residual_norms
+from matym.fields import (_coefficient_arrays, _table_action, action_summary,
+                          residual_blocks, residual_norms)
 from matym.qriemann import form_to_vec
 
 
@@ -106,10 +108,13 @@ def test_replace_and_shift(calc, rng):
     cfg2 = cfg.replace(left_p=new_p)
     assert np.allclose(cfg2.left.p, new_p)
     assert cfg2.right is cfg.right
-    direction = VariationDirection.connection(calc.random_form(1, rng))
-    from matym.fields import shifted
-    cfg3 = shifted(cfg, direction, 0.5)
-    assert cfg3.connection.A.allclose(cfg.connection.A + 0.5 * direction.value)
+    # the finite-difference oracle shifts coefficient arrays, as a form shift
+    lam = calc.random_form(1, rng)
+    moved = cfg.replace(connection=GaugeConnection(cfg.connection.A + 0.5 * lam))
+    A, a, b = _coefficient_arrays(cfg)
+    A = A + 0.5 * form_to_vec(lam, [1]).reshape(A.shape)
+    ref = complex(ymsm_action(moved))
+    assert abs(_table_action(cfg, A, a, b) - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
 # -- Yang-Mills action and equation -------------------------------------------
@@ -267,6 +272,24 @@ def test_residual_blocks_matches_form_oracle(calc, calc3, rng, N, charge, sectio
     for key, want in ref.items():
         bound = 1e-12 * max(1.0, np.max(np.abs(want)))
         assert np.max(np.abs(got[key] - want)) <= bound, key
+
+
+# -- the finite-difference oracle's action against the form path ----------------
+
+@pytest.mark.parametrize("charge", [-2, -1, 0, 1, 2])
+@pytest.mark.parametrize("sections", ["both", "left", "right", "none"])
+@pytest.mark.parametrize("N", [2, 3])
+def test_table_action_matches_form_oracle(calc, calc3, rng, N, charge, sections):
+    calc = calc if N == 2 else calc3
+    cfg = random_configuration(calc, rng, charge=charge,
+                               potential=PolynomialPotential([1, 2, -0.5]))
+    cfg = FieldConfiguration(cfg.connection,
+                             cfg.left if sections in ("both", "left") else None,
+                             cfg.right if sections in ("both", "right") else None,
+                             cfg.potential)
+    ref = complex(ymsm_action(cfg))
+    got = _table_action(cfg, *_coefficient_arrays(cfg))
+    assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
 # -- variational consistency ------------------------------------------------------

@@ -58,6 +58,16 @@ def oracle_wedge_eval(a, b, idx, p, q):
     return out
 
 
+def oracle_tuples(calc, arity):
+    """Index tuples the oracles are evaluated on: every tuple, unsorted and
+    repeated ones included, up to 512 of them; beyond that the strictly
+    increasing ones and every 5th of all."""
+    tuples = list(itertools.product(range(1, calc.dim + 1), repeat=arity))
+    if len(tuples) <= 512:
+        return tuples
+    return list(itertools.combinations(range(1, calc.dim + 1), arity)) + tuples[::5]
+
+
 def oracle_d_eval(form, idx, k):
     """Two-term differential formula on evaluations, arity k + 1."""
     calc = form.calc
@@ -201,13 +211,14 @@ def test_wedge_coframe_relations(calc):
     assert (top * h1).is_zero()  # beyond top grade
 
 
-def test_wedge_against_shuffle_oracle(calc, rng):
-    for p, q in [(0, 1), (1, 1), (1, 2), (2, 1), (0, 3), (2, 2)]:
-        a, b = rand_form(calc, p, rng), rand_form(calc, q, rng)
-        w = a * b
-        for idx in itertools.product(range(1, 4), repeat=p + q):
-            assert np.allclose(ev(w, idx), oracle_wedge_eval(a, b, idx, p, q),
-                               atol=1e-12)
+def test_wedge_against_shuffle_oracle(calc, calc3, rng):
+    for c in (calc, calc3):
+        for p, q in [(0, 1), (1, 1), (1, 2), (2, 1), (0, 3), (3, 0), (2, 2)]:
+            a, b = rand_form(c, p, rng), rand_form(c, q, rng)
+            w = a * b
+            for idx in oracle_tuples(c, p + q):
+                assert np.allclose(ev(w, idx), oracle_wedge_eval(a, b, idx, p, q),
+                                   atol=1e-12)
 
 
 def test_wedge_mixed_grades_distributes(calc, rng):
@@ -242,12 +253,13 @@ def test_scalar_differential(calc, rng):
     assert calc.scalar_form(calc.identity()).d().is_zero()
 
 
-def test_differential_against_evaluation_oracle(calc, rng):
-    for g in range(0, 3):
-        a = rand_form(calc, g, rng)
-        da = a.d()
-        for idx in itertools.product(range(1, 4), repeat=g + 1):
-            assert np.allclose(ev(da, idx), oracle_d_eval(a, idx, g), atol=1e-12)
+def test_differential_against_evaluation_oracle(calc, calc3, rng):
+    for c, top in ((calc, 2), (calc3, 3)):
+        for g in range(0, top + 1):
+            a = rand_form(c, g, rng)
+            da = a.d()
+            for idx in oracle_tuples(c, g + 1):
+                assert np.allclose(ev(da, idx), oracle_d_eval(a, idx, g), atol=1e-12)
 
 
 def test_differential_on_n3(calc3, rng):
@@ -260,18 +272,20 @@ def test_differential_on_n3(calc3, rng):
     assert da.d().frobenius() < 1e-12
 
 
+@pytest.mark.parametrize("N", [2, 3])
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), g=st.integers(0, 2))
-def test_differential_squares_to_zero(g, seed):
-    calc = DerivationCalculus(2)
+def test_differential_squares_to_zero(N, g, seed):
+    calc = DerivationCalculus(N)
     a = calc.random_form(g, np.random.default_rng(seed))
     assert a.d().d().frobenius() < 1e-12
 
 
+@pytest.mark.parametrize("N", [2, 3])
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), gm=st.integers(0, 2), gn=st.integers(0, 2))
-def test_graded_leibniz(seed, gm, gn):
-    calc = DerivationCalculus(2)
+def test_graded_leibniz(N, seed, gm, gn):
+    calc = DerivationCalculus(N)
     rng = np.random.default_rng(seed)
     mu, nu = calc.random_form(gm, rng), calc.random_form(gn, rng)
     lhs = (mu * nu).d()
