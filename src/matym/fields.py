@@ -14,13 +14,14 @@ shapes (zero sets define stationarity); `analytic_gradient` applies the
 constants above, and `action_gradient_fd` is the independent oracle: it
 differentiates the action, never the field equations it is compared with.
 
-The form path (the actions `ym_action`, `gsm_action`, `ymsm_action` and
-the equations `ymsm_connection_residual`, `ymsm_section_residuals`)
-works on DiffForms in either scalar field: the exact API and the oracle.
-Two float evaluations on coefficient arrays read operator tables built
-once per calculus on first use and dropped with it (D_0, Delta_1,
-Delta_2 D_1 and D_1): the solver's `residual_blocks`, and
-`_table_action`, the action that `action_gradient_fd` differentiates.
+The actions `ym_action`, `gsm_action`, `ymsm_action` and the equations
+`ymsm_connection_residual`, `ymsm_section_residuals` are written on
+DiffForms, in either scalar field: the exact API and the oracle. The
+solver's `residual_blocks` and `_table_action`, the action that
+`action_gradient_fd` differentiates, evaluate the same formulas in
+floats on the connection's grade-1 array and the section matrices, with
+dense operator matrices built once per calculus on first use and dropped
+with it (D_0, Delta_1, Delta_2 D_1 and D_1).
 """
 
 from __future__ import annotations
@@ -354,8 +355,7 @@ def _tables(calc):
 def _coefficient_arrays(cfg):
     """(A, a, b): the connection's (d, N, N) coefficient blocks and the
     section matrices in complex floats, None for an absent section."""
-    N = cfg.calc.N
-    A = form_to_vec(cfg.connection.A, [1]).reshape(-1, N, N)
+    A = np.asarray(cfg.connection.A.array(1), dtype=complex)
     a = None if cfg.left is None else np.asarray(cfg.left.p, dtype=complex)
     b = None if cfg.right is None else np.asarray(cfg.right.p, dtype=complex)
     return A, a, b
@@ -400,7 +400,7 @@ def flat_potential(conn):
     target = form_to_vec(conn.A, [1])
     x, *_ = np.linalg.lstsq(D0, target, rcond=None)
     defect = float(np.linalg.norm(D0 @ x - target))
-    return vec_to_form(calc, x, [0]).component(()), defect
+    return x.reshape(calc.N, calc.N), defect
 
 
 # -- stationary-point solver ----------------------------------------------
@@ -490,15 +490,14 @@ def residual_blocks(cfg):
     def cod(q):
         return (cod1 @ q.ravel()).reshape(N, N)
 
-    vec_A = form_to_vec(cfg.connection.A, [1])
-    A = vec_A.reshape(-1, N, N)
-    Ah = A.conj().transpose(0, 2, 1)
+    A, a, b = _coefficient_arrays(cfg)
+    Ah = dagger(A)
     zero = np.zeros((N, N), dtype=complex)
-    a = zero if cfg.left is None else np.asarray(cfg.left.p, dtype=complex)
-    b = zero if cfg.right is None else np.asarray(cfg.right.p, dtype=complex)
+    a = zero if a is None else a
+    b = zero if b is None else b
     V = cfg.potential
     n = cfg.charge
-    ym = dstar_d @ vec_A
+    ym = dstar_d @ A.ravel()
     if n and cfg.has_sections:
         p1, p2 = n * a, -n * b
         p1h, p2h = dagger(p1), dagger(p2)
@@ -532,50 +531,32 @@ def _residual_vector(cfg):
 
 
 class _Packing:
-    """Real-coordinate chart on the varied fields of a configuration."""
+    """Real-coordinate chart on the varied fields of a configuration: the
+    real and imaginary parts of their `_coefficient_arrays`, in order."""
 
     def __init__(self, cfg, options):
         self.cfg = cfg
-        calc = cfg.calc
-        self.n2 = calc.N * calc.N
-        self.blocks = []
-        if options.vary_connection:
-            self.blocks.append(("connection", calc.dim * self.n2))
-        if options.vary_left and cfg.left is not None:
-            self.blocks.append(("left", self.n2))
-        if options.vary_right and cfg.right is not None:
-            self.blocks.append(("right", self.n2))
-        self.size = 2 * sum(n for _, n in self.blocks)
+        varied = (options.vary_connection, options.vary_left, options.vary_right)
+        self.parts, pos = {}, 0  # kind -> (slice of the complex vector, shape)
+        for kind, x, v in zip(VariationDirection.KINDS, _coefficient_arrays(cfg), varied):
+            if v and x is not None:
+                self.parts[kind] = (slice(pos, pos + x.size), x.shape)
+                pos += x.size
+        self.size = 2 * pos
 
     def pack(self, cfg):
-        zs = []
-        for kind, _ in self.blocks:
-            if kind == "connection":
-                zs.append(form_to_vec(cfg.connection.A, [1]))
-            elif kind == "left":
-                zs.append(np.asarray(cfg.left.p, dtype=complex).ravel())
-            else:
-                zs.append(np.asarray(cfg.right.p, dtype=complex).ravel())
-        z = np.concatenate(zs) if zs else np.zeros(0, dtype=complex)
+        arrays = dict(zip(VariationDirection.KINDS, _coefficient_arrays(cfg)))
+        z = np.concatenate([arrays[kind].ravel() for kind in self.parts])
         return np.concatenate([z.real, z.imag])
 
     def unpack(self, x):
         half = len(x) // 2
         z = x[:half] + 1j * x[half:]
-        cfg = self.cfg
-        calc = cfg.calc
-        pos = 0
-        conn, left_p, right_p = None, None, None
-        for kind, n in self.blocks:
-            chunk = z[pos:pos + n]
-            pos += n
-            if kind == "connection":
-                conn = GaugeConnection(vec_to_form(calc, chunk, [1]))
-            elif kind == "left":
-                left_p = chunk.reshape(calc.N, calc.N)
-            else:
-                right_p = chunk.reshape(calc.N, calc.N)
-        return cfg.replace(connection=conn, left_p=left_p, right_p=right_p)
+        arrays = {kind: z[part].reshape(shape) for kind, (part, shape) in self.parts.items()}
+        conn = arrays.get("connection")
+        if conn is not None:
+            conn = GaugeConnection(vec_to_form(self.cfg.calc, conn.ravel(), [1]))
+        return self.cfg.replace(conn, arrays.get("left"), arrays.get("right"))
 
 
 def solve_stationary(cfg0, options=None):

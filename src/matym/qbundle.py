@@ -19,8 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .matforms import DiffForm, dagger, matrix_from_json, matrix_to_json
-from .qriemann import (IDENTITY_TOL, _check_side, codifferential, hodge,
-                       hodge_inner, state)
+from .qriemann import IDENTITY_TOL, _check_side, codifferential, hodge, hodge_inner
 
 
 class ChargeMismatchError(ValueError):
@@ -33,7 +32,7 @@ class GaugeConnection:
     __slots__ = ("A",)
 
     def __init__(self, A):
-        if A.terms and A.grades() != [1]:
+        if A.grades() not in ([], [1]):
             raise ValueError("connection form must be pure grade 1")
         self.A = A
 
@@ -59,18 +58,12 @@ class GaugeConnection:
 
     def is_regular(self, tol=IDENTITY_TOL):
         """True iff every coefficient of A is a multiple of the identity."""
-        Id = self.calc.identity()
-        for p in self.A.terms.values():
-            trace_part = state(p) * Id
-            resid = p - trace_part
-            if self.calc.exact:
-                if np.any(resid):
-                    return False
-            else:
-                scale = max(1.0, float(np.max(np.abs(np.asarray(p, dtype=complex)))))
-                if np.max(np.abs(np.asarray(resid, dtype=complex))) > tol * scale:
-                    return False
-        return True
+        calc, P = self.calc, self.A.array(1)
+        resid = P - np.trace(P, axis1=1, axis2=2)[:, None, None] / calc.N * calc.identity()
+        if calc.exact:
+            return not np.count_nonzero(resid)
+        scale = np.maximum(1.0, np.abs(P).max(axis=(1, 2)))
+        return bool(np.all(np.abs(resid).max(axis=(1, 2)) <= tol * scale))
 
     def __add__(self, other):
         if isinstance(other, ConnectionDisplacement):
@@ -89,9 +82,7 @@ class GaugeConnection:
 
     def to_payload(self):
         """{"A": [matrix_to_json of each h^j coefficient, j = 1..d]}."""
-        calc = self.calc
-        return {"A": [matrix_to_json(calc, self.A.component((j,)))
-                      for j in range(1, calc.dim + 1)]}
+        return {"A": [matrix_to_json(self.calc, p) for p in self.A.array(1)]}
 
     @classmethod
     def from_payload(cls, calc, payload):
@@ -108,7 +99,7 @@ class ConnectionDisplacement:
     __slots__ = ("form",)
 
     def __init__(self, form):
-        if form.terms and form.grades() != [1]:
+        if form.grades() not in ([], [1]):
             raise ValueError("displacement must be pure grade 1")
         self.form = form
 
@@ -255,9 +246,7 @@ def cov_derivative(conn, psi):
         return QvbForm(n, "right", psi.form.d() + n * (A.star() * psi.form))
     out = psi.form.d()
     if n:
-        for k in psi.form.grades():
-            part = psi.form.graded_part(k) * A
-            out = out - (n if k % 2 == 0 else -n) * part
+        out = out - n * (psi.form.parity() * A)
     return QvbForm(n, "left", out)
 
 
@@ -276,15 +265,12 @@ def cov_codifferential(conn, psi):
         flipped = QvbForm(-n, "left", psi.form.star())
         res = cov_codifferential(conn, flipped)
         return QvbForm(n, "right", res.form.star())
-    A = conn.A
-    d = A.calc.dim
     out = codifferential(psi.form, "left")
     if n:
-        for g in psi.form.grades():
-            if g == 0:
-                continue
-            part = hodge(A * hodge(psi.form.graded_part(g)))
-            out = out - (-n if (g - 1) * (d - g + 2) % 2 else n) * part
+        # grade g - 1 of part comes from grade g >= 1 of psi, and
+        # (-1)^((g-1)(d-g+2)) is (-1)^(g-1) for odd d and 1 for even d
+        part = hodge(conn.A * hodge(psi.form))
+        out = out - n * (part.parity() if conn.calc.dim % 2 else part)
     return QvbForm(n, "left", out)
 
 
@@ -313,7 +299,7 @@ class _TotalForm:
 
     def __init__(self, calc, terms):
         self.calc = calc
-        self.terms = {key: f for key, f in terms.items() if f.terms}
+        self.terms = {key: f for key, f in terms.items() if f.blocks}
 
     def __add__(self, other):
         out = dict(self.terms)
@@ -334,12 +320,9 @@ class _TotalForm:
                 if g1 + g2 > 1:
                     continue  # germ squares to zero
                 key = (c1 + c2, g1 + g2)
-                for k2 in f2.grades():
-                    # the germ anticommutes with odd form factors
-                    piece = f1 * f2.graded_part(k2)
-                    if g1 and k2 % 2:
-                        piece = -piece
-                    out[key] = out[key] + piece if key in out else piece
+                # the germ anticommutes with odd form factors
+                piece = f1 * (f2.parity() if g1 else f2)
+                out[key] = out[key] + piece if key in out else piece
         return _TotalForm(self.calc, out)
 
     def d(self):
@@ -351,9 +334,7 @@ class _TotalForm:
         for (c, g), f in self.terms.items():
             acc((c, g), f.d())
             if g == 0 and c != 0:
-                for k in f.grades():
-                    piece = c * f.graded_part(k)
-                    acc((c, 1), piece if k % 2 == 0 else -piece)
+                acc((c, 1), c * f.parity())
         return _TotalForm(self.calc, out)
 
     def star(self):

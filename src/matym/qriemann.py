@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .matforms import DiffForm, dagger, sort_sign
+from .matforms import DiffForm, dagger
 
 IDENTITY_TOL = 1e-12
 ADJOINT_TOL = 1e-10
@@ -40,22 +40,19 @@ def metric(a, b, side="left"):
     _check_side(side)
     a._check_compatible(b)
     out = a.calc.zero_matrix()
-    for I, p in a.terms.items():
-        q = b.terms.get(I)
-        if q is None:
-            continue
-        out = out + (p @ dagger(q) if side == "left" else dagger(p) @ q)
+    for g, P in a.blocks.items():
+        Q = b.blocks.get(g)
+        if Q is not None:
+            out = out + (P @ dagger(Q) if side == "left" else dagger(P) @ Q).sum(axis=0)
     return out
 
 
 def integral(a):
     """Integral of a top-grade form p.dvol, namely s(p)."""
-    top = a.calc.volume_indices
-    for I in a.terms:
-        if I != top:
-            raise GradeError(f"integral needs a grade-{a.calc.dim} form, "
-                             f"found component h^{I}")
-    return state(a.component(top))
+    top = a.calc.dim
+    if set(a.blocks) - {top}:
+        raise GradeError(f"integral needs a grade-{top} form, found grades {a.grades()}")
+    return state(a.array(top)[0])
 
 
 def hodge_inner(a, b, side="left"):
@@ -78,16 +75,15 @@ def _hodge(a, side, inverse):
     if side == "right":
         return _hodge(a.star(), "left", inverse).star()
     calc = a.calc
-    full = frozenset(range(1, calc.dim + 1))
     out = {}
-    for I, p in a.terms.items():
-        Ic = tuple(sorted(full.difference(I)))
-        _, sign = sort_sign(I + Ic)
-        if inverse and len(I) * len(Ic) % 2:
-            sign = -sign
-        q = dagger(p)
-        out[Ic] = q if sign == 1 else -q
-    return DiffForm._raw(calc, out)
+    for g, P in a.blocks.items():
+        src, neg = calc.star_table(g)
+        if inverse and g * (calc.dim - g) % 2:
+            neg = ~neg
+        Q = dagger(P[src])
+        Q[neg] = -Q[neg]
+        out[calc.dim - g] = Q
+    return DiffForm._from_blocks(calc, out)
 
 
 def codifferential(a, side="left"):
@@ -100,13 +96,10 @@ def codifferential(a, side="left"):
     _check_side(side)
     if side == "right":
         return codifferential(a.star(), "left").star()
-    calc = a.calc
-    d = calc.dim
-    out = calc.zero_form()
-    for g in a.grades():
-        part = hodge(hodge(a.graded_part(g)).d())
-        out = out - part if (g + (d - g + 1) * (g - 1)) % 2 else out + part
-    return out
+    d = a.calc.dim
+    out = hodge(hodge(a).d())  # its grade g comes from grade g + 1 of a
+    return DiffForm._from_blocks(a.calc, {
+        g: -P if (g + 1 + (d - g) * g) % 2 else P for g, P in out.blocks.items()})
 
 
 def laplacian(a, side="left"):
@@ -132,33 +125,30 @@ def grade_basis(calc, grades):
 
 
 def form_to_vec(a, grades):
+    """The grade arrays of a, for the given grades in order, concatenated."""
     if isinstance(grades, int):
         grades = [grades]
-    calc = a.calc
-    allowed = set(grades)
-    for I in a.terms:
-        if len(I) not in allowed:
-            raise GradeError(f"component h^{I} outside grades {sorted(allowed)}")
-    blocks = []
-    for g in grades:
-        for I in calc.basis_indices(g):
-            blocks.append(np.asarray(a.component(I), dtype=complex).ravel())
-    return np.concatenate(blocks) if blocks else np.zeros(0, dtype=complex)
+    outside = sorted(set(a.blocks).difference(grades))
+    if outside:
+        raise GradeError(f"components of grade {outside} outside grades {sorted(set(grades))}")
+    parts = [np.asarray(a.array(g), dtype=complex).ravel() for g in grades]
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=complex)
 
 
 def vec_to_form(calc, vec, grades):
+    """Inverse of form_to_vec: a copy of vec cut into the grade arrays."""
     if isinstance(grades, int):
         grades = [grades]
-    terms = {}
-    pos = 0
-    n2 = calc.N * calc.N
-    for g in grades:
-        for I in calc.basis_indices(g):
-            terms[I] = np.asarray(vec[pos:pos + n2], dtype=complex).reshape(calc.N, calc.N)
-            pos += n2
-    if pos != len(vec):
+    if calc.exact:
+        raise TypeError("vec_to_form builds complex coefficients; exact mode refuses them")
+    sizes = [len(calc.basis_indices(g)) * calc.N ** 2 for g in grades]
+    if sum(sizes) != len(vec):
         raise ValueError(f"vector length {len(vec)} does not match grades {grades}")
-    return DiffForm(calc, terms)
+    vec, blocks, pos = np.array(vec, dtype=complex), {}, 0
+    for g, n in zip(grades, sizes):
+        blocks[g] = vec[pos:pos + n].reshape(-1, calc.N, calc.N)
+        pos += n
+    return DiffForm._from_blocks(calc, blocks)
 
 
 def operator_matrix(calc, op, grades_in, grades_out=None):
@@ -187,41 +177,31 @@ def d_matrix(calc, k):
 
     ad_m = i(S_m (x) 1 - 1 (x) S_m^T) is p -> i[S_m, p] on row-major
     entries; E_m (h^I to the signed h^{I+m}) and C_k (the coframe part)
-    are the calculus' d_rule, the index rule DiffForm.d applies.
+    are the calculus' d_table, the index rule DiffForm.d applies.
     """
     N, n2 = calc.N, calc.N * calc.N
-    rows, cols = calc.basis_indices(k + 1), calc.basis_indices(k)
-    at = {K: i for i, K in enumerate(rows)}
+    gen, src, C, _, _ = calc.d_table(k)
+    n_rows, n_cols = C.shape
     one = np.eye(N)
-    ad = []
-    for S in calc.generators:
-        S = np.asarray(S, dtype=complex)
-        ad.append(1j * (np.kron(S, one) - np.kron(one, S.T)))
-    D = np.zeros((len(rows), n2, len(cols), n2), dtype=complex)
-    C = np.zeros((len(rows), len(cols)), dtype=complex)
-    for j, I in enumerate(cols):
-        coefficient, coframe = calc.d_rule(I)
-        for m, K, sign in coefficient:
-            D[at[K], :, j, :] = ad[m - 1] if sign == 1 else -ad[m - 1]
-        for K, c in coframe:
-            C[at[K], j] += complex(c)
+    ad = np.array([1j * (np.kron(S, one) - np.kron(one, S.T))
+                   for S in np.asarray(calc.generators, dtype=complex)])
+    D = np.zeros((n_rows, n2, n_cols, n2), dtype=complex)
+    rows = np.arange(n_rows)
+    for j in range(k + 1):
+        D[rows, :, src[j], :] = -ad[gen[j]] if j % 2 else ad[gen[j]]
+    C = np.asarray(C, dtype=complex)
     for r in range(n2):
         D[:, r, :, r] += C
-    return D.reshape(len(rows) * n2, len(cols) * n2)
+    return D.reshape(n_rows * n2, n_cols * n2)
 
 
 def _star_table(calc, g):
     """The star on grade g as a signed permutation of vec entries:
     vec(hodge a)[j] = sign[j] conj(vec a)[src[j]], h^I E_cr -> h^{I^c} E_rc."""
-    N, n2 = calc.N, calc.N * calc.N
-    at = {I: i for i, I in enumerate(calc.basis_indices(g))}
-    blocks, signs = [], []
-    for Ic in calc.basis_indices(calc.dim - g):
-        I = tuple(x for x in range(1, calc.dim + 1) if x not in Ic)
-        blocks.append(at[I])
-        signs.append(sort_sign(I + Ic)[1])
-    src = (np.array(blocks, dtype=np.intp)[:, None] * n2 + _transposed(n2, N)).ravel()
-    return src, np.repeat(signs, n2)
+    n2 = calc.N * calc.N
+    blocks, neg = calc.star_table(g)
+    src = (blocks[:, None] * n2 + _transposed(n2, calc.N)).ravel()
+    return src, np.repeat(np.where(neg, -1, 1), n2)
 
 
 def _transposed(n, N):

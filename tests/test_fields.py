@@ -222,6 +222,29 @@ def test_triplet1_all_residuals_vanish_n3(calc3):
     assert max(residual_norms(triplet1(calc3)).values()) < 1e-12
 
 
+def flat_family(calc, a):
+    """The family F: A = 0, a traceless, b = a+, charge 1 and V = Nq. It
+    holds the triplet (a = S1 + S2 + S3) and the vacuum (a = 0)."""
+    return FieldConfiguration(
+        GaugeConnection.zero(calc),
+        ChargedSection(calc, 1, "left", a),
+        ChargedSection(calc, -1, "right", dagger(a)),
+        PolynomialPotential([0, calc.N]))
+
+
+def test_flat_family_solves_all_equations(xcalc, calc3, rng):
+    a = xcalc.random_matrix(rng)
+    cfg = flat_family(xcalc, a - np.trace(a) / 2 * xcalc.identity())
+    assert not ymsm_connection_residual(cfg).terms
+    r1, r2 = ymsm_section_residuals(cfg)
+    assert not r1.form.terms and not r2.form.terms
+    assert ymsm_action(cfg) == 0
+    a = 2 * calc3.random_matrix(rng)
+    a -= np.trace(a) / 3 * np.eye(3)
+    norms = residual_norms(flat_family(calc3, a))
+    assert max(norms.values()) <= 1e-12 * np.linalg.norm(a)
+
+
 def test_triplet2_connection_stationary_sections_not(calc):
     cfg = triplet2(calc)
     assert ymsm_connection_residual(cfg).frobenius() < 1e-12

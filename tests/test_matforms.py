@@ -3,8 +3,8 @@
 The independent oracle here treats a form as an alternating multilinear
 function of derivation indices: wedging becomes a shuffle sum and the
 differential becomes the standard two-term formula on evaluations. Both
-are implemented from scratch below and compared against the dictionary
-arithmetic of DiffForm.
+are implemented from scratch below and compared against DiffForm's
+arithmetic on grade arrays.
 """
 
 import itertools
@@ -15,13 +15,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matym import (
+    ChargedSection,
     DerivationCalculus,
     DiffForm,
     DimensionError,
+    GaugeConnection,
     GaussianRational,
+    codifferential,
+    cov_codifferential,
     dagger,
+    hodge,
+    hodge_inv,
     sort_sign,
 )
+from matym import fields, matforms, qbundle, qriemann
+from matym.qbundle import QvbForm
 
 PAULI_HALF = [
     np.array([[0, 0.5], [0.5, 0]], dtype=complex),
@@ -161,7 +169,7 @@ def test_sort_sign_cases():
 
 # -- DiffForm construction and guards ---------------------------------------
 
-def test_diff_form_validation(calc, calc3, rng):
+def test_diff_form_validation(calc, calc3, xcalc, rng):
     with pytest.raises(ValueError):
         DiffForm(calc, {(0,): calc.zero_matrix()})
     with pytest.raises(ValueError):
@@ -170,6 +178,12 @@ def test_diff_form_validation(calc, calc3, rng):
         DiffForm(calc, {(2, 1): calc.zero_matrix()})
     with pytest.raises(DimensionError):
         DiffForm(calc, {(1,): np.eye(3)})
+    # exact mode refuses a wrong shape as the float path does
+    for bad in (np.eye(3, dtype=int), [[1], [2]]):
+        with pytest.raises(DimensionError):
+            DiffForm(xcalc, {(1,): bad})
+        with pytest.raises(DimensionError):
+            ChargedSection(xcalc, 1, "left", bad)
     a = rand_form(calc, 1, rng)
     b = rand_form(calc3, 1, rng)
     with pytest.raises(DimensionError):
@@ -262,16 +276,6 @@ def test_differential_against_evaluation_oracle(calc, calc3, rng):
                 assert np.allclose(ev(da, idx), oracle_d_eval(a, idx, g), atol=1e-12)
 
 
-def test_differential_on_n3(calc3, rng):
-    # oracle agreement is dimension-independent
-    a = rand_form(calc3, 1, rng)
-    da = a.d()
-    idxs = [(1, 2), (3, 7), (8, 4), (5, 5), (6, 2)]
-    for idx in idxs:
-        assert np.allclose(ev(da, idx), oracle_d_eval(a, idx, 1), atol=1e-11)
-    assert da.d().frobenius() < 1e-12
-
-
 @pytest.mark.parametrize("N", [2, 3])
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), g=st.integers(0, 2))
@@ -300,6 +304,37 @@ def test_leibniz_mixed_grades(calc, rng):
     rhs = (mu.d() * nu + mu.graded_part(0) * nu.d()
            + mu.graded_part(2) * nu.d())
     assert (lhs - rhs).frobenius() < 1e-11
+
+
+# -- each index rule stated once -----------------------------------------------
+
+def test_index_tables_need_no_sign_rule_once_compiled(calc, calc3, rng, monkeypatch):
+    """Once a calculus has compiled its tables for every grade, d, wedge,
+    the Hodge stars and the codifferentials apply them without sort_sign."""
+    def run_every_grade(c):
+        forms = [c.random_form(g, rng) for g in range(c.dim + 1)]
+        conn = GaugeConnection(c.random_form(1, rng))
+        for g, a in enumerate(forms):
+            a.d()
+            hodge(a)
+            hodge_inv(a, "right")
+            codifferential(a)
+            codifferential(a, "right")
+            cov_codifferential(conn, QvbForm(2, "left", a))
+            cov_codifferential(conn, QvbForm(-1, "right", a))
+            for b in forms[:c.dim + 1 - g]:
+                a * b
+
+    def refuse(indices):
+        raise AssertionError("sort_sign called after the tables were compiled")
+
+    for c in (calc, calc3):
+        run_every_grade(c)
+    for module in (matforms, qriemann, qbundle, fields):
+        if hasattr(module, "sort_sign"):
+            monkeypatch.setattr(module, "sort_sign", refuse)
+    for c in (calc, calc3):
+        run_every_grade(c)
 
 
 # -- involution --------------------------------------------------------------

@@ -172,16 +172,17 @@ def test_upsilon_roundtrip_and_unit(calc, rng):
 
 # -- covariant derivative ----------------------------------------------------
 
-def test_cov_derivative_against_reference(calc, rng):
-    for n in CHARGES:
-        for g in range(0, 3):
-            for side in ("left", "right"):
-                conn = rand_conn(calc, rng)
-                psi = QvbForm(n, side, calc.random_form(g, rng))
-                fast = cov_derivative(conn, psi)
-                ref = reference_cov_derivative(conn, psi)
-                assert fast.charge == ref.charge == n
-                assert fast.form.allclose(ref.form, 1e-12)
+def test_cov_derivative_against_reference(calc, calc3, rng):
+    for c in (calc, calc3):
+        for n in CHARGES:
+            for g in range(0, 3):
+                for side in ("left", "right"):
+                    conn = rand_conn(c, rng)
+                    psi = QvbForm(n, side, c.random_form(g, rng))
+                    fast = cov_derivative(conn, psi)
+                    ref = reference_cov_derivative(conn, psi)
+                    assert fast.charge == ref.charge == n
+                    assert fast.form.allclose(ref.form, 1e-12)
 
 
 def test_reference_curvature_matches(calc, rng):
