@@ -52,9 +52,10 @@ _DEFAULTS = {
 # Largest dense matrix one run may build. The spectrum path holds the
 # Laplacian L_k beside two factor operands of its assembly (each no larger
 # than L_k), then beside the hermiticity check's and the eigensolver's
-# copies of it, so a run at the limit peaks at a few GiB. Every N=3 run
-# fits; N=4 over all grades would need 158 GiB for its grade-7 operator
-# alone.
+# copies of it, so a run at the limit peaks at a few GiB. A solve holds its
+# Jacobian beside the residual's operator tables, of which D_1 and Delta_2
+# are the largest. Every N=3 run fits; N=4 over all grades would need
+# 158 GiB for its grade-7 operator alone, and a solve at N=7 1.94 GiB for D_1.
 MAX_DENSE_BYTES = 2**30
 
 
@@ -154,16 +155,18 @@ def dense_matrix_bytes(cfg):
 
     spectrum and verify: the complex Laplacian on grade k has C(d, k) N^2
     rows (d = N^2 - 1), for the requested grade or the largest of all. solve:
-    the real Jacobian has at most 2 (d + 2) N^2 rows and as many columns,
-    the connection and both sections in real and imaginary parts. Once the
-    grade-0 operator alone (N^2 rows) is over the limit, its size is
-    returned, sparing a binomial coefficient of millions of digits.
+    the larger of the real Jacobian, at most 2 (d + 2) N^2 rows and as many
+    columns (the connection and both sections in real and imaginary parts),
+    and the complex residual tables D_1 and Delta_2, C(d, 2) N^2 by d N^2.
+    Once the grade-0 operator alone (N^2 rows) is over the limit, its size
+    is returned, sparing a binomial coefficient of millions of digits.
     """
     N = cfg["N"]
     d = N * N - 1
     if cfg["mode"] == "solve":
-        rows, entry = 2 * (d + 2) * N * N, 8
-    elif N**4 * 16 > MAX_DENSE_BYTES:
+        jacobian = (2 * (d + 2) * N * N) ** 2 * 8
+        return max(jacobian, math.comb(d, 2) * N * N * d * N * N * 16)
+    if N**4 * 16 > MAX_DENSE_BYTES:
         rows, entry = N * N, 16
     else:
         k = cfg["grade"] if cfg["mode"] == "spectrum" and cfg["grade"] is not None else d // 2

@@ -14,14 +14,16 @@ shapes (zero sets define stationarity); `analytic_gradient` applies the
 constants above, and `action_gradient_fd` is the independent oracle: it
 differentiates the action, never the field equations it is compared with.
 
-The actions `ym_action`, `gsm_action`, `ymsm_action` and the equations
-`ymsm_connection_residual`, `ymsm_section_residuals` are written on
-DiffForms, in either scalar field: the exact API and the oracle. The
-solver's `residual_blocks` and `_table_action`, the action that
-`action_gradient_fd` differentiates, evaluate the same formulas in
-floats on the connection's grade-1 array and the section matrices, with
-dense operator matrices built once per calculus on first use and dropped
-with it (D_0, Delta_1, Delta_2 D_1 and D_1).
+Each action and each field equation is stated once, on the connection's
+grade-1 coefficient array and the section matrices, with dense operator
+matrices built once per calculus on first use and dropped with it (D_0,
+Delta_1, Delta_2 D_1 and D_1, in the calculus' own scalars): the actions
+in `_table_action`, the equations in `residual_blocks`' docstring. The
+solver evaluates them in floats; `ym_action`, `gsm_action`, `sm_action`,
+`ymsm_action`, `ymsm_connection_residual` and `ymsm_section_residuals`
+read them off in either scalar field, exact Gaussian rationals included.
+`ym_residual`, `sm_residuals` and `continuity_residual` are the operator
+definitions on DiffForms that the checks compare against.
 """
 
 from __future__ import annotations
@@ -32,11 +34,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matforms import CONVENTIONS_ID, dagger
-from .qbundle import (ChargedSection, GaugeConnection, QvbForm,
-                      cov_codifferential, cov_derivative, section_inner)
+from .matforms import CONVENTIONS_ID, DiffForm, dagger
+from .qbundle import ChargedSection, GaugeConnection, QvbForm, cov_codifferential
 from .qriemann import (codifferential, codifferential_matrix, d_matrix, form_to_vec,
-                       hodge_inner, metric, state, vec_to_form)
+                       hodge_inner, state, vec_to_form)
 
 
 class PolynomialPotential:
@@ -159,30 +160,12 @@ def ym_action(conn):
     Both inner products are evaluated; their equality is a *-symmetry the
     tests pin separately, not something assumed here.
     """
-    sc = conn.calc.scalars
-    F = conn.curvature()
-    Fh = conn.hat().curvature()
-    total = hodge_inner(F, F, "left") + hodge_inner(Fh, Fh, "right")
-    return sc.frac(-1, 4) * total
-
-
-def _section_lagrangian(conn, T1, T2, potential):
-    """Matrix-valued Lagrangian of one section pair under a connection."""
-    calc = conn.calc
-    sc = calc.scalars
-    L = calc.zero_matrix()
-    if T1 is not None:
-        q1 = cov_derivative(conn, T1).form
-        L = L + metric(q1, q1, "left") - potential(section_inner(T1, T1))
-    if T2 is not None:
-        q2 = cov_derivative(conn, T2).form
-        L = L - metric(q2, q2, "right") + potential(section_inner(T2, T2))
-    return sc.frac(1, 4) * L
+    return _at(FieldConfiguration(conn), _table_action)[0]
 
 
 def gsm_action(cfg):
     """Integral of the charged-scalar-matter Lagrangian."""
-    return state(_section_lagrangian(cfg.connection, cfg.left, cfg.right, cfg.potential))
+    return _at(cfg, _table_action)[1]
 
 
 def sm_action(calc, left_ps, right_ps, potential):
@@ -192,17 +175,15 @@ def sm_action(calc, left_ps, right_ps, potential):
     conn = GaugeConnection.zero(calc)
     total = calc.scalars.zero
     for p, q in zip(left_ps, right_ps):
-        T1 = ChargedSection(calc, 0, "left", p)
-        T2 = ChargedSection(calc, 0, "right", q)
-        total = total + state(_section_lagrangian(conn, T1, T2, potential))
+        total = total + gsm_action(FieldConfiguration(
+            conn, ChargedSection(calc, 0, "left", p), ChargedSection(calc, 0, "right", q),
+            potential))
     return total
 
 
 def ymsm_action(cfg):
-    total = ym_action(cfg.connection)
-    if cfg.has_sections:
-        total = total + gsm_action(cfg)
-    return total
+    ym, gsm = _at(cfg, _table_action)
+    return ym + gsm
 
 
 # -- field equations ------------------------------------------------------
@@ -229,50 +210,20 @@ def sm_residuals(calc, left_ps, right_ps, potential):
 
 
 def ymsm_connection_residual(cfg):
-    """The assembled connection equation.
-
-    For charge n != 0 this is the combination in the charge-weighted
-    normalization p1 = n a, p2 = -n b:
-        -(1/n)(p1+ dp1 - p2 dp2+) + p1+p1 A - p2 p2+ A - 2 d*dA.
-    For n = 0 the sections decouple and the Yang-Mills equation d*dA is
-    returned instead.
-    """
-    n = cfg.charge
-    if n == 0 or not cfg.has_sections:
-        return ym_residual(cfg.connection)
-    calc = cfg.calc
-    sc = calc.scalars
-    A = cfg.connection.A
-    a = cfg.left.p if cfg.left is not None else calc.zero_matrix()
-    b = cfg.right.p if cfg.right is not None else calc.zero_matrix()
-    p1 = n * a
-    p2 = -n * b
-    dp1 = calc.scalar_form(p1).d()
-    dp2c = calc.scalar_form(dagger(p2)).d()
-    out = (dp1.lmul(dagger(p1)) - dp2c.lmul(p2)) * sc.frac(-1, n)
-    out = out + A.lmul(dagger(p1) @ p1) - A.lmul(p2 @ dagger(p2))
-    out = out - 2 * ym_residual(cfg.connection)
-    return out
+    """The assembled connection equation of `residual_blocks` as a grade-1
+    form: for charge n != 0 the combination in the charge-weighted
+    normalization p1 = n a, p2 = -n b, for n = 0 (the sections decouple)
+    the Yang-Mills equation d*dA."""
+    return DiffForm._from_blocks(cfg.calc, {1: _at(cfg, _connection_equation)})
 
 
 def ymsm_section_residuals(cfg):
-    """Section equations as sections: coefficients of
-    cov* cov T1 - V'_L(T1)+ T1  and  cov* cov T2 - T2 V'_R(T2)+."""
-    calc = cfg.calc
-    conn = cfg.connection
-    V = cfg.potential
-    left = right = None
-    if cfg.left is not None:
-        a = cfg.left.p
-        box = cov_codifferential(conn, cov_derivative(conn, cfg.left)).form.component(())
-        r1 = box - dagger(V.derivative(section_inner(cfg.left, cfg.left))) @ a
-        left = QvbForm(cfg.left.charge, "left", calc.scalar_form(r1))
-    if cfg.right is not None:
-        b = cfg.right.p
-        box = cov_codifferential(conn, cov_derivative(conn, cfg.right)).form.component(())
-        r2 = box - b @ dagger(V.derivative(section_inner(cfg.right, cfg.right)))
-        right = QvbForm(cfg.right.charge, "right", calc.scalar_form(r2))
-    return left, right
+    """The section equations of `residual_blocks` as sections (left, right),
+    None for an absent section: cov* cov T1 - V'_L(T1)+ T1 and
+    cov* cov T2 - T2 V'_R(T2)+."""
+    r = _at(cfg, _section_equations)
+    return tuple(None if T is None else QvbForm(T.charge, T.side, cfg.calc.scalar_form(r[T.side]))
+                 for T in (cfg.left, cfg.right))
 
 
 def continuity_residual(conn):
@@ -288,14 +239,17 @@ def action_gradient_fd(cfg, direction, step=1e-6):
     by central differences in the real and imaginary parts.
 
     The action is `_table_action` on the coefficient arrays (A_j, a, b)
-    moved by z times the direction: the Lagrangian of ymsm_action written
-    on the operator tables, never the field equations it is compared with.
+    moved by z times the direction, never the field equations it is
+    compared with. It runs in complex floats, an exact configuration's
+    arrays and tables converted.
     """
     if step <= 0:
         raise ValueError("step must be positive")
     calc = cfg.calc
     N = calc.N
-    A, a, b = _coefficient_arrays(cfg)
+    tables = [np.asarray(t, dtype=complex) for t in _tables(calc)]
+    A, a, b = (None if x is None else np.asarray(x, dtype=complex)
+               for x in _coefficient_arrays(cfg))
     if direction.kind == "connection":
         shift = form_to_vec(direction.value, [1]).reshape(-1, N, N)
     else:
@@ -304,10 +258,10 @@ def action_gradient_fd(cfg, direction, step=1e-6):
     def S(z):
         moved = z * shift
         if direction.kind == "connection":
-            return _table_action(cfg, A + moved, a, b)
+            return sum(_table_action(cfg, tables, A + moved, a, b))
         if direction.kind == "left":
-            return _table_action(cfg, A, a + moved, b)
-        return _table_action(cfg, A, a, b + moved)
+            return sum(_table_action(cfg, tables, A, a + moved, b))
+        return sum(_table_action(cfg, tables, A, a, b + moved))
 
     d_re = (S(step) - S(-step)) / (2 * step)
     d_im = (S(1j * step) - S(-1j * step)) / (2 * step)
@@ -338,8 +292,9 @@ _TABLES = weakref.WeakKeyDictionary()
 
 
 def _tables(calc):
-    """(D_0, Delta_1, Delta_2 D_1, D_1) of the calculus, built on first use
-    and kept for as long as the calculus lives."""
+    """(D_0, Delta_1, Delta_2 D_1, D_1) of the calculus in its own scalars
+    (calc.dtype), built on first use and kept for as long as the calculus
+    lives."""
     tables = _TABLES.get(calc)
     if tables is None:
         D1 = d_matrix(calc, 1)
@@ -354,37 +309,46 @@ def _tables(calc):
 
 def _coefficient_arrays(cfg):
     """(A, a, b): the connection's (d, N, N) coefficient blocks and the
-    section matrices in complex floats, None for an absent section."""
-    A = np.asarray(cfg.connection.A.array(1), dtype=complex)
-    a = None if cfg.left is None else np.asarray(cfg.left.p, dtype=complex)
-    b = None if cfg.right is None else np.asarray(cfg.right.p, dtype=complex)
+    section matrices, None for an absent section."""
+    A = cfg.connection.A.array(1)
+    a = None if cfg.left is None else cfg.left.p
+    b = None if cfg.right is None else cfg.right.p
     return A, a, b
 
 
-def _table_action(cfg, A, a, b):
-    """ymsm_action of cfg's charges and potential at the coefficient arrays
-    (A, a, b) of `_coefficient_arrays`, in complex floats, s = tr/N:
+def _at(cfg, evaluator):
+    """evaluator(cfg, tables, A, a, b) at the configuration's own arrays and
+    tables, in its calculus' scalars."""
+    return evaluator(cfg, _tables(cfg.calc), *_coefficient_arrays(cfg))
+
+
+def _table_action(cfg, tables, A, a, b):
+    """(ym, gsm), the actions of cfg's charges and potential at the
+    coefficient arrays (A, a, b) of `_coefficient_arrays`, with the
+    operator tables of `_tables`, s = tr/N:
         ym   -1/4 [s(sum_I F_I F_I+) + s(sum_I Fh_I+ Fh_I)],
              F = D_1 A, Fh = -D_1 A+ (blockwise dagger);
         gsm  s(1/4 [sum_j q1_j q1_j+ - V(a a+) - sum_j q2_j+ q2_j + V(b+ b)]),
              q1_j = (D_0 a)_j - n a A_j, q2_j = (D_0 b)_j + m A_j+ b,
     each section's terms present only with the section. s(sum x x+) and
-    s(sum x+ x) are both |x|^2 / N.
+    s(sum x+ x) are both |x|^2 / N. The constants enter as integers, so
+    the arrays and tables may be of either scalar field.
     """
     N = cfg.calc.N
-    D0, _, _, D1 = _tables(cfg.calc)
-    Ah = A.conj().transpose(0, 2, 1)
+    D0, _, _, D1 = tables
+    Ah = dagger(A)
     F = D1 @ A.ravel()
     Fh = D1 @ Ah.ravel()  # -Fh, whose sign drops out
-    total = -0.25 * (np.vdot(F, F) + np.vdot(Fh, Fh)) / N
+    ym = -(np.vdot(F, F) + np.vdot(Fh, Fh)) / (4 * N)
+    gsm = 0 * ym  # the zero of the arrays' field
     V = cfg.potential
     if a is not None:
-        q1 = (D0 @ a.ravel()).reshape(-1, N, N) - cfg.left.charge * (a @ A)
-        total += 0.25 * (np.vdot(q1, q1) / N - state(V(a @ dagger(a))))
+        q1 = _d0(D0, a) - cfg.left.charge * (a @ A)
+        gsm += (np.vdot(q1, q1) / N - state(V(a @ dagger(a)))) / 4
     if b is not None:
-        q2 = (D0 @ b.ravel()).reshape(-1, N, N) + cfg.right.charge * (Ah @ b)
-        total -= 0.25 * (np.vdot(q2, q2) / N - state(V(dagger(b) @ b)))
-    return total
+        q2 = _d0(D0, b) + cfg.right.charge * (Ah @ b)
+        gsm -= (np.vdot(q2, q2) / N - state(V(dagger(b) @ b))) / 4
+    return ym, gsm
 
 
 # -- flatness -----------------------------------------------------------
@@ -396,7 +360,7 @@ def flat_potential(conn):
     zero exactly when A is flat.
     """
     calc = conn.calc
-    D0 = _tables(calc)[0]
+    D0 = np.asarray(_tables(calc)[0], dtype=complex)
     target = form_to_vec(conn.A, [1])
     x, *_ = np.linalg.lstsq(D0, target, rcond=None)
     defect = float(np.linalg.norm(D0 @ x - target))
@@ -457,71 +421,84 @@ def _pair(x):
 
 
 def action_summary(cfg):
-    ym = complex(ym_action(cfg.connection))
+    ym, gsm = (complex(x) for x in _at(cfg, _table_action))
     out = {"ym": _pair(ym)}
     if cfg.has_sections:
-        gsm = complex(gsm_action(cfg))
         out["gsm"] = _pair(gsm)
-        out["total"] = _pair(ym + gsm)
-    else:
-        out["total"] = _pair(ym)
+    out["total"] = _pair(ym + gsm)
     return out
 
 
 def residual_blocks(cfg):
     """Stacked field-equation values, keyed per equation, in form_to_vec order.
 
-    The equations of ymsm_connection_residual and ymsm_section_residuals
-    on the N x N blocks A_j, a and b, from the operator tables:
+    The one statement of the three field equations, on the N x N blocks
+    A_j, a and b, from the operator tables of `_tables`, in the scalars
+    of the configuration's calculus (complex, or Gaussian rationals):
         connection  -(1/n)(p1+ (D_0 p1)_j - p2 (D_0 p2+)_j)
                     + p1+ p1 A_j - p2 p2+ A_j - 2 (Delta_2 D_1 A)_j,
-                    p1 = n a, p2 = -n b; Delta_2 D_1 A alone if n = 0 or no sections;
+                    p1 = n a, p2 = -n b; Delta_2 D_1 A (d*dA) alone if
+                    n = 0 or no sections;
         left        Delta_1 q - n sum_j q_j A_j+ - V'(a a+)+ a,  q_j = (D_0 a)_j - n a A_j;
         right       (Delta_1 q+ + m sum_j q_j+ A_j+)+ - b V'(b+ b)+,
                     q_j = (D_0 b)_j + m A_j+ b.
+    Each section's equation is present only with the section.
     """
-    calc = cfg.calc
-    N = calc.N
-    D0, cod1, dstar_d, _ = _tables(calc)
-
-    def d0(p):
-        return (D0 @ p.ravel()).reshape(-1, N, N)
-
-    def cod(q):
-        return (cod1 @ q.ravel()).reshape(N, N)
-
-    A, a, b = _coefficient_arrays(cfg)
-    Ah = dagger(A)
-    zero = np.zeros((N, N), dtype=complex)
-    a = zero if a is None else a
-    b = zero if b is None else b
-    V = cfg.potential
-    n = cfg.charge
-    ym = dstar_d @ A.ravel()
-    if n and cfg.has_sections:
-        p1, p2 = n * a, -n * b
-        p1h, p2h = dagger(p1), dagger(p2)
-        E = (p1h @ d0(p1) - p2 @ d0(p2h)) * (-1 / n)
-        E += (p1h @ p1) @ A  # two products as on the form path: solves follow rounding
-        E -= (p2 @ p2h) @ A
-        E -= 2 * ym.reshape(-1, N, N)
-        blocks = {"connection": E.ravel()}
-    else:
-        blocks = {"connection": ym}
-    if cfg.left is not None:
-        q = d0(a) - n * (a @ A)
-        box = cod(q) - n * (q @ Ah).sum(axis=0)
-        blocks["left"] = (box - dagger(V.derivative(a @ dagger(a))) @ a).ravel()
-    if cfg.right is not None:
-        m = cfg.right.charge
-        qh = (d0(b) + m * (Ah @ b)).conj().transpose(0, 2, 1)
-        box = dagger(cod(qh) + m * (qh @ Ah).sum(axis=0))
-        blocks["right"] = (box - b @ dagger(V.derivative(dagger(b) @ b))).ravel()
+    args = cfg, _tables(cfg.calc), *_coefficient_arrays(cfg)
+    blocks = {"connection": _connection_equation(*args).ravel()}
+    for key, r in _section_equations(*args).items():
+        blocks[key] = r.ravel()
     return blocks
 
 
+def _connection_equation(cfg, tables, A, a, b):
+    """The connection block of `residual_blocks`, shape (d, N, N)."""
+    calc, n = cfg.calc, cfg.charge
+    N = calc.N
+    D0, _, dstar_d, _ = tables
+    ym = (dstar_d @ A.ravel()).reshape(-1, N, N)
+    if not (n and cfg.has_sections):
+        return ym
+    zero = calc.zero_matrix()
+    p1 = n * (zero if a is None else a)
+    p2 = -n * (zero if b is None else b)
+    p1h, p2h = dagger(p1), dagger(p2)
+    E = (p1h @ _d0(D0, p1) - p2 @ _d0(D0, p2h)) * calc.scalars.frac(-1, n)
+    E += (p1h @ p1) @ A  # two products as in the statement: solves follow rounding
+    E -= (p2 @ p2h) @ A
+    E -= 2 * ym
+    return E
+
+
+def _section_equations(cfg, tables, A, a, b):
+    """The section blocks of `residual_blocks` as N x N matrices, keyed by side."""
+    N = A.shape[-1]
+    D0, cod1, _, _ = tables
+    Ah = dagger(A)
+    V = cfg.potential
+    out = {}
+    if a is not None:
+        n = cfg.left.charge
+        q = _d0(D0, a) - n * (a @ A)
+        box = (cod1 @ q.ravel()).reshape(N, N) - n * (q @ Ah).sum(axis=0)
+        out["left"] = box - dagger(V.derivative(a @ dagger(a))) @ a
+    if b is not None:
+        m = cfg.right.charge
+        qh = dagger(_d0(D0, b) + m * (Ah @ b))
+        box = dagger((cod1 @ qh.ravel()).reshape(N, N) + m * (qh @ Ah).sum(axis=0))
+        out["right"] = box - b @ dagger(V.derivative(dagger(b) @ b))
+    return out
+
+
+def _d0(D0, p):
+    """(D_0 p)_j, the coefficients of dp, shape (d, N, N)."""
+    N = p.shape[0]
+    return (D0 @ p.ravel()).reshape(-1, N, N)
+
+
 def residual_norms(cfg):
-    return {key: float(np.linalg.norm(v)) for key, v in residual_blocks(cfg).items()}
+    return {key: float(np.linalg.norm(np.asarray(v, dtype=complex)))
+            for key, v in residual_blocks(cfg).items()}
 
 
 def _residual_vector(cfg):

@@ -77,7 +77,7 @@ class _NumericScalars:
 
     @staticmethod
     def frac(num, den=1):
-        return complex(Fraction(num, den))
+        return complex(num / den)  # int / int rounds once, as float(Fraction) does
 
 
 class _ExactScalars:

@@ -166,8 +166,9 @@ def operator_matrix(calc, op, grades_in, grades_out=None):
 # The matrices of d, the star, d^star and the Laplacian written down from
 # index tables, in the vec order of form_to_vec, instead of applied to
 # every basis form (operator_matrix, which the tests keep as their oracle).
-# Float only: an exact calculus' generators and structure constants are
-# converted to complex, as operator_matrix converts its columns.
+# d and d^star are built in the calculus' own scalars (calc.dtype), so an
+# exact calculus gets Gaussian-rational tables; gram_matrices converts its
+# factors to complex, as the eigensolve runs in floats.
 
 _ROW_BLOCK = 128  # rows of the second product added in place by gram_matrices
 
@@ -179,17 +180,16 @@ def d_matrix(calc, k):
     entries; E_m (h^I to the signed h^{I+m}) and C_k (the coframe part)
     are the calculus' d_table, the index rule DiffForm.d applies.
     """
-    N, n2 = calc.N, calc.N * calc.N
+    n2 = calc.N * calc.N
     gen, src, C, _, _ = calc.d_table(k)
     n_rows, n_cols = C.shape
-    one = np.eye(N)
-    ad = np.array([1j * (np.kron(S, one) - np.kron(one, S.T))
-                   for S in np.asarray(calc.generators, dtype=complex)])
-    D = np.zeros((n_rows, n2, n_cols, n2), dtype=complex)
+    one = calc.identity()
+    ad = np.array([calc.scalars.i * (np.kron(S, one) - np.kron(one, S.T))
+                   for S in calc.generators])
+    D = np.zeros((n_rows, n2, n_cols, n2), dtype=calc.dtype)  # 0 is every field's zero
     rows = np.arange(n_rows)
     for j in range(k + 1):
         D[rows, :, src[j], :] = -ad[gen[j]] if j % 2 else ad[gen[j]]
-    C = np.asarray(C, dtype=complex)
     for r in range(n2):
         D[:, r, :, r] += C
     return D.reshape(n_rows * n2, n_cols * n2)
@@ -253,11 +253,12 @@ def gram_matrices(calc, grade, side="left"):
     n = len(calc.basis_indices(grade)) * calc.N ** 2
     H = np.zeros((n, n), dtype=complex)
     if grade > 0:
-        cod = codifferential_matrix(calc, grade, side)
-        np.matmul(d_matrix(calc, grade - 1), cod, out=H)
+        cod = codifferential_matrix(calc, grade, side).astype(complex, copy=False)
+        np.matmul(d_matrix(calc, grade - 1).astype(complex, copy=False), cod, out=H)
         del cod
     if grade < calc.dim:
-        A, B = codifferential_matrix(calc, grade + 1, side), d_matrix(calc, grade)
+        A = codifferential_matrix(calc, grade + 1, side).astype(complex, copy=False)
+        B = d_matrix(calc, grade).astype(complex, copy=False)
         for r in range(0, n, _ROW_BLOCK):
             H[r:r + _ROW_BLOCK] += A[r:r + _ROW_BLOCK] @ B
         del A, B

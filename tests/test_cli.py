@@ -93,6 +93,12 @@ def test_dense_matrix_estimate():
         assert exc.value.field == "N"
     with pytest.raises(ConfigError, match="158 GiB"):
         validate_config(cfg(mode="spectrum", N=4))
+    # a solve's residual tables D_1 and Delta_2 are C(d, 2) N^2 by d N^2:
+    # 0.40 GiB at N=6, 1.94 GiB at N=7, where the Jacobian is 0.18 GiB
+    validate_config(cfg(mode="solve", N=6))
+    with pytest.raises(ConfigError, match="1.94 GiB") as exc:
+        validate_config(cfg(mode="solve", N=7))
+    assert exc.value.field == "N"
 
 
 def test_flags_override_config(tmp_path):

@@ -3,9 +3,12 @@
 The load-bearing oracle is finite differencing of the actions: every
 analytic residual is checked against a central-difference directional
 derivative, which only uses the action (on the operator tables, pinned to
-the form-path actions below) and the pairing constants documented in the
-module header.
+the covariant-operator route below) and the pairing constants documented
+in the module header.
 """
+
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -38,9 +41,10 @@ from matym import (
     ymsm_connection_residual,
     ymsm_section_residuals,
 )
-from matym.fields import (_coefficient_arrays, _table_action, action_summary,
+from matym.fields import (_coefficient_arrays, _table_action, _tables, action_summary,
                           residual_blocks, residual_norms)
-from matym.qriemann import form_to_vec
+from matym.qbundle import cov_codifferential, cov_derivative, section_inner
+from matym.qriemann import codifferential, form_to_vec, metric, state
 
 
 def soliton(calc):
@@ -114,7 +118,8 @@ def test_replace_and_shift(calc, rng):
     A, a, b = _coefficient_arrays(cfg)
     A = A + 0.5 * form_to_vec(lam, [1]).reshape(A.shape)
     ref = complex(ymsm_action(moved))
-    assert abs(_table_action(cfg, A, a, b) - ref) <= 1e-12 * max(1.0, abs(ref))
+    got = sum(_table_action(cfg, _tables(calc), A, a, b))
+    assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
 # -- Yang-Mills action and equation -------------------------------------------
@@ -272,47 +277,158 @@ def test_triplet2_analytic_matches_fd(calc, rng):
     assert worst < 1e-5
 
 
-# -- the solver's residual against the form path ------------------------------
+# -- the actions and field equations against the covariant operators ----------
+#
+# The oracle is the covariant-operator route on DiffForms: the curvature
+# and cov_derivative in the Lagrangian, cov_codifferential cov_derivative
+# in the section equations, and verify's connection_equation_operator_route
+# for the connection equation. Exact cases must agree to the last digit.
+
+def oracle_configuration(request, rng, N, charge, sections):
+    calc = request.getfixturevalue({2: "calc", 3: "calc3", "2x": "xcalc"}[N])
+    potential = PolynomialPotential([1, 2, Fraction(-1, 2) if calc.exact else -0.5])
+    cfg = random_configuration(calc, rng, charge=charge, potential=potential)
+    return FieldConfiguration(cfg.connection,
+                              cfg.left if sections in ("both", "left") else None,
+                              cfg.right if sections in ("both", "right") else None,
+                              potential)
+
+
+def oracle_actions(cfg):
+    """(ym, gsm) from the curvature, metric and cov_derivative."""
+    conn, V = cfg.connection, cfg.potential
+    F, Fh = conn.curvature(), conn.hat().curvature()
+    ym = (hodge_inner(F, F, "left") + hodge_inner(Fh, Fh, "right")) * Fraction(-1, 4)
+    L = cfg.calc.zero_matrix()
+    if cfg.left is not None:
+        q1 = cov_derivative(conn, cfg.left).form
+        L = L + metric(q1, q1, "left") - V(section_inner(cfg.left, cfg.left))
+    if cfg.right is not None:
+        q2 = cov_derivative(conn, cfg.right).form
+        L = L - metric(q2, q2, "right") + V(section_inner(cfg.right, cfg.right))
+    return ym, state(L) * Fraction(1, 4)
+
+
+def oracle_residuals(cfg):
+    """The three equations from the covariant operators, in residual_blocks' keys."""
+    conn, n, V = cfg.connection, cfg.charge, cfg.potential
+    ym = codifferential(conn.curvature())
+    E = -2 * ym if n and cfg.has_sections else ym  # n = 0 drops the section terms
+    out = {}
+    if cfg.left is not None:
+        T, a = cfg.left, cfg.left.p
+        q1 = cov_derivative(conn, T)
+        E = E - n * q1.form.lmul(dagger(a))
+        box = cov_codifferential(conn, q1).form.component(())
+        out["left"] = box - dagger(V.derivative(section_inner(T, T))) @ a
+    if cfg.right is not None:
+        T, b = cfg.right, cfg.right.p
+        q2 = cov_derivative(conn, T)
+        E = E + n * q2.form.star().lmul(b)
+        box = cov_codifferential(conn, q2).form.component(())
+        out["right"] = box - b @ dagger(V.derivative(section_inner(T, T)))
+    out["connection"] = E.array(1)
+    return {key: r.ravel() for key, r in out.items()}
+
+
+def assert_agrees(got, want):
+    if isinstance(want, np.ndarray) and want.dtype == object:
+        assert np.array_equal(got, want)
+    elif isinstance(want, np.ndarray):
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+    elif isinstance(want, GaussianRational):
+        assert got == want
+    else:
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
 
 @pytest.mark.parametrize("charge", [-2, -1, 0, 1, 2])
 @pytest.mark.parametrize("sections", ["both", "left", "right", "none"])
-@pytest.mark.parametrize("N", [2, 3])
-def test_residual_blocks_matches_form_oracle(calc, calc3, rng, N, charge, sections):
-    calc = calc if N == 2 else calc3
-    cfg = random_configuration(calc, rng, charge=charge,
-                               potential=PolynomialPotential([1, 2, -0.5]))
-    cfg = FieldConfiguration(cfg.connection,
-                             cfg.left if sections in ("both", "left") else None,
-                             cfg.right if sections in ("both", "right") else None,
-                             cfg.potential)
-    ref = {"connection": form_to_vec(ymsm_connection_residual(cfg), [1])}
-    r1, r2 = ymsm_section_residuals(cfg)
-    for key, r in (("left", r1), ("right", r2)):
-        if r is not None:
-            ref[key] = np.asarray(r.form.component(()), dtype=complex).ravel()
+@pytest.mark.parametrize("N", [2, 3, "2x"])
+def test_residual_blocks_matches_form_oracle(request, rng, N, charge, sections):
+    cfg = oracle_configuration(request, rng, N, charge, sections)
+    want = oracle_residuals(cfg)
     got = residual_blocks(cfg)
-    assert set(got) == set(ref)
-    for key, want in ref.items():
-        bound = 1e-12 * max(1.0, np.max(np.abs(want)))
-        assert np.max(np.abs(got[key] - want)) <= bound, key
+    assert set(got) == set(want)
+    for key in want:
+        assert_agrees(got[key], want[key])
+    # the form API reads the same blocks
+    conn = ymsm_connection_residual(cfg)
+    assert conn.grades() in ([], [1])
+    assert_agrees(conn.array(1).ravel(), want["connection"])
+    for key, r in zip(("left", "right"), ymsm_section_residuals(cfg)):
+        assert (r is None) == (key not in want)
+        if r is not None:
+            assert (r.charge, r.side) == (getattr(cfg, key).charge, key)
+            assert_agrees(r.form.component(()).ravel(), want[key])
 
-
-# -- the finite-difference oracle's action against the form path ----------------
 
 @pytest.mark.parametrize("charge", [-2, -1, 0, 1, 2])
 @pytest.mark.parametrize("sections", ["both", "left", "right", "none"])
-@pytest.mark.parametrize("N", [2, 3])
-def test_table_action_matches_form_oracle(calc, calc3, rng, N, charge, sections):
-    calc = calc if N == 2 else calc3
-    cfg = random_configuration(calc, rng, charge=charge,
-                               potential=PolynomialPotential([1, 2, -0.5]))
-    cfg = FieldConfiguration(cfg.connection,
-                             cfg.left if sections in ("both", "left") else None,
-                             cfg.right if sections in ("both", "right") else None,
-                             cfg.potential)
-    ref = complex(ymsm_action(cfg))
-    got = _table_action(cfg, *_coefficient_arrays(cfg))
-    assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
+@pytest.mark.parametrize("N", [2, 3, "2x"])
+def test_table_action_matches_form_oracle(request, rng, N, charge, sections):
+    cfg = oracle_configuration(request, rng, N, charge, sections)
+    ym, gsm = oracle_actions(cfg)
+    assert_agrees(ym_action(cfg.connection), ym)
+    assert_agrees(gsm_action(cfg), gsm)
+    assert_agrees(ymsm_action(cfg), ym + gsm)
+
+
+def test_actions_and_equations_need_no_form_operators(calc, calc3, xcalc, rng, monkeypatch):
+    """Once a calculus has built its operator tables, the actions and the
+    field equations run without d, cov_derivative or cov_codifferential,
+    in either scalar field: they are stated once, on the tables."""
+    cfgs = [random_configuration(c, rng, charge=1, potential=PolynomialPotential([1, 2]))
+            for c in (calc, calc3, xcalc)]
+    for cfg in cfgs:
+        _tables(cfg.calc)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a form operator ran after the tables were built")
+
+    for name, module in list(sys.modules.items()):
+        if name == "matym" or name.startswith("matym."):
+            for attr in ("cov_derivative", "cov_codifferential"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
+    monkeypatch.setattr(DiffForm, "d", refuse)
+    for cfg in cfgs:
+        ymsm_action(cfg)
+        ymsm_connection_residual(cfg)
+        ymsm_section_residuals(cfg)
+
+
+def test_float_oracles_accept_exact_configurations(calc, xcalc, rng):
+    """flat_potential, action_gradient_fd and residual_norms run in complex
+    floats on an exact configuration, as on its float copy."""
+    def floats(m):
+        return np.asarray(m, dtype=complex)
+
+    def float_form(w):
+        return DiffForm(calc, {I: floats(m) for I, m in w.terms.items()})
+
+    p = xcalc.random_matrix(rng)
+    conn = GaugeConnection(xcalc.scalar_form(p).d())
+    prec, defect = flat_potential(conn)
+    assert prec.dtype == complex and defect < 1e-12
+    assert (calc.scalar_form(prec).d() - float_form(conn.A)).frobenius() < 1e-12
+    cfg = random_configuration(xcalc, rng, charge=1, potential=PolynomialPotential([1, 2]))
+    lam = xcalc.random_form(1, rng)
+    fcfg = FieldConfiguration(
+        GaugeConnection(float_form(cfg.connection.A)),
+        ChargedSection(calc, 1, "left", floats(cfg.left.p)),
+        ChargedSection(calc, -1, "right", floats(cfg.right.p)), cfg.potential)
+    flam = float_form(lam)
+    norms, fnorms = residual_norms(cfg), residual_norms(fcfg)
+    assert set(norms) == set(fnorms)
+    assert all(abs(norms[k] - fnorms[k]) <= 1e-12 * fnorms[k] for k in norms)
+    for d, fd in [(VariationDirection.connection(lam), VariationDirection.connection(flam)),
+                  (VariationDirection.left(p), VariationDirection.left(floats(p)))]:
+        g = action_gradient_fd(cfg, d)
+        assert type(g) is complex
+        assert g == action_gradient_fd(fcfg, fd)
+        g_an = complex(analytic_gradient(cfg, d))
+        assert abs(g - g_an) <= 1e-5 * max(abs(g_an), 1e-8)
 
 
 # -- variational consistency ------------------------------------------------------

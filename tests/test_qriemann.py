@@ -377,21 +377,31 @@ def _max_dev(A, B):
     return float(np.max(np.abs(A - B), initial=0.0))
 
 
-@pytest.mark.parametrize("calc_name", ["calc", "calc3"])
+def _assert_matches(calc, got, op, g_in, g_out):
+    """got against op on each basis form: complex within 1e-12, or entry
+    for entry in an exact calculus, whose tables keep its scalars."""
+    if not calc.exact:
+        assert _max_dev(got, operator_matrix(calc, op, g_in, g_out)) <= 1e-12
+        return
+    want = np.column_stack([op(b).array(g_out).ravel() for b in grade_basis(calc, g_in)])
+    assert got.dtype == object and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("calc_name", ["calc", "calc3", "xcalc"])
 def test_d_matrix_matches_oracle(calc_name, request):
     calc = request.getfixturevalue(calc_name)
     for k in range(calc.dim):
-        want = operator_matrix(calc, DiffForm.d, k, k + 1)
-        assert _max_dev(d_matrix(calc, k), want) <= 1e-12, k
+        _assert_matches(calc, d_matrix(calc, k), DiffForm.d, k, k + 1)
 
 
-@pytest.mark.parametrize("calc_name", ["calc", "calc3"])
+@pytest.mark.parametrize("calc_name", ["calc", "calc3", "xcalc"])
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_codifferential_matrix_matches_oracle(calc_name, side, request):
     calc = request.getfixturevalue(calc_name)
     for g in range(1, calc.dim + 1):
-        want = operator_matrix(calc, lambda f: codifferential(f, side), g, g - 1)
-        assert _max_dev(codifferential_matrix(calc, g, side), want) <= 1e-12, g
+        _assert_matches(calc, codifferential_matrix(calc, g, side),
+                        lambda f: codifferential(f, side), g, g - 1)
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
@@ -414,6 +424,12 @@ def test_spectrum_matches_gram_pair_oracle(calc, side):
             M = M.conj()
         want = scipy.linalg.eigvalsh(M, np.eye(len(M)) / calc.N)
         assert _max_dev(spectrum(calc, k, side), want) <= 1e-12, k
+
+
+def test_spectrum_of_exact_calculus_runs_in_floats(calc, xcalc):
+    # gram_matrices converts the exact tables; the eigensolve is float
+    for k in range(calc.dim + 1):
+        assert _max_dev(spectrum(xcalc, k), spectrum(calc, k)) <= 1e-12, k
 
 
 def test_write_spectrum_csv(calc, tmp_path):
