@@ -241,12 +241,14 @@ def action_gradient_fd(cfg, direction, step=1e-6):
     The action is `_table_action` on the coefficient arrays (A_j, a, b)
     moved by z times the direction, never the field equations it is
     compared with. It runs in complex floats, an exact configuration's
-    arrays and tables converted.
+    arrays, tables and potential coefficients converted.
     """
     if step <= 0:
         raise ValueError("step must be positive")
     calc = cfg.calc
     N = calc.N
+    cfg = FieldConfiguration(cfg.connection, cfg.left, cfg.right, PolynomialPotential(
+        complex(c) for c in cfg.potential.coefficients))
     tables = [np.asarray(t, dtype=complex) for t in _tables(calc)]
     A, a, b = (None if x is None else np.asarray(x, dtype=complex)
                for x in _coefficient_arrays(cfg))

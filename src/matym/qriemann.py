@@ -10,7 +10,6 @@ operator with the involution, never by a second hand-coded formula.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .matforms import DiffForm, dagger
 
@@ -269,14 +268,23 @@ def gram_matrices(calc, grade, side="left"):
     return H, G
 
 
+def eigensolve(H, G):
+    """Ascending real eigenvalues of the generalized hermitian problem
+    H v = lambda G v (G positive definite), by scipy's eigvalsh: the one
+    place matym calls scipy."""
+    import scipy.linalg  # not at module level: only spectra need scipy, a third of a run's memory
+    return scipy.linalg.eigvalsh(H, G)
+
+
 def spectrum(calc, grade, side="left"):
-    """Ascending real eigenvalues of the Laplacian on grade-k forms, the
-    generalized hermitian eigenproblem of gram_matrices."""
+    """Ascending real eigenvalues of the Laplacian on grade-k forms: the
+    Gram pair of gram_matrices, checked hermitian, through eigensolve
+    (which loads scipy on the first call)."""
     H, G = gram_matrices(calc, grade, side)
     herm_defect = np.max(np.abs(H - H.conj().T))
     if herm_defect > 1e-9:
         raise ValueError(f"Laplacian Gram matrix not hermitian (defect {herm_defect:.3e})")
-    return scipy.linalg.eigvalsh(H, G)
+    return eigensolve(H, G)
 
 
 def write_spectrum_csv(calc, stream, side="left", grades=None):

@@ -12,7 +12,6 @@ from __future__ import annotations
 import time
 
 import numpy as np
-import scipy.linalg
 
 from . import fields as fd
 from . import qbundle as qb
@@ -408,7 +407,7 @@ def _(ctx):
     for g in range(calc.dim + 1):  # each grade's Gram matrix built once
         H, G = qr.gram_matrices(calc, g)
         herm.append(np.max(np.abs(H - H.conj().T)))
-        spectra.append(scipy.linalg.eigvalsh(H, G))
+        spectra.append(qr.eigensolve(H, G))
     # the grade-0 Laplacian is N on traceless matrices
     want0 = np.array([0] + [N] * (N * N - 1))
     s0 = spectra[0]

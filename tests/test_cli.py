@@ -1,6 +1,10 @@
 """Front-end behavior: config handling, exit codes, report layout."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -333,3 +337,52 @@ def test_spectrum_n3(tmp_path):
     assert main(["--mode", "spectrum", "--N", "3", "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
     _check_all_grades_csv(out1, 3)
+
+
+# -- start-up ------------------------------------------------------------------
+
+# A fresh interpreter: this one has scipy loaded by the tests' own oracles.
+_COLD_START = """
+import json
+import sys
+
+import numpy as np
+
+import matym
+from matym import (DerivationCalculus, PolynomialPotential, cli, qriemann,
+                   random_configuration, ymsm_action, ymsm_section_residuals)
+from matym.fields import residual_blocks
+
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+
+out = {"solve": cli.main(["--mode", "solve", "--seed", "42", "--tol", "1e-9",
+                          "--out", sys.argv[1]])}
+rng = np.random.default_rng(0)
+V = PolynomialPotential([0, 2])
+residual_blocks(random_configuration(DerivationCalculus(3), rng, charge=1, potential=V))
+xcfg = random_configuration(DerivationCalculus(2, exact=True), rng, charge=1, potential=V)
+ymsm_action(xcfg)
+ymsm_section_residuals(xcfg)
+out["scipy_before_spectrum"] = scipy_modules()
+out["spectrum"] = qriemann.spectrum(DerivationCalculus(2), 1).tolist()
+out["linalg_after_spectrum"] = "scipy.linalg" in sys.modules
+print(json.dumps(out))
+"""
+
+
+def test_cold_start_loads_scipy_only_for_a_spectrum(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_START, str(tmp_path / "r.json")],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["solve"] == 0
+    assert out["scipy_before_spectrum"] == []
+    assert out["linalg_after_spectrum"] is True
+    want = [1.0] * 4 + [2.0] * 3 + [4.0] * 5
+    assert np.allclose(np.sort(out["spectrum"]), want, rtol=0, atol=1e-10)

@@ -431,6 +431,22 @@ def test_float_oracles_accept_exact_configurations(calc, xcalc, rng):
         assert abs(g - g_an) <= 1e-5 * max(abs(g_an), 1e-8)
 
 
+def test_fd_gradient_accepts_exact_potential_coefficients(xcalc, rng):
+    """Gaussian-rational potential coefficients enter action_gradient_fd
+    as complex floats, giving the gradient of the same integers."""
+    coeffs = [1, 2, -3]
+    cfg = random_configuration(xcalc, rng, charge=1, potential=PolynomialPotential(
+        [GaussianRational(c) for c in coeffs]))
+    icfg = FieldConfiguration(cfg.connection, cfg.left, cfg.right, PolynomialPotential(coeffs))
+    for d in (VariationDirection.connection(xcalc.random_form(1, rng)),
+              VariationDirection.left(xcalc.random_matrix(rng)),
+              VariationDirection.right(xcalc.random_matrix(rng))):
+        g = action_gradient_fd(cfg, d)
+        assert g == action_gradient_fd(icfg, d)
+        g_an = complex(analytic_gradient(cfg, d))
+        assert abs(g - g_an) < 1e-5 * max(abs(g), abs(g_an), 1e-8)
+
+
 # -- variational consistency ------------------------------------------------------
 
 @pytest.mark.parametrize("kind", ["connection", "left", "right"])

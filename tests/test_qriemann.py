@@ -17,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matym import (
-    DerivationCalculus,
     DiffForm,
     GaussianRational,
     GradeError,
@@ -222,15 +221,16 @@ def test_codifferential_grade0_and_guards(calc, rng):
 
 
 @settings(max_examples=20, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), g=st.integers(0, 2),
-       side=st.sampled_from(["left", "right"]))
-def test_codifferential_adjointness(seed, g, side):
-    calc = DerivationCalculus(2)
+@given(seed=st.integers(0, 2**32 - 1), side=st.sampled_from(["left", "right"]),
+       data=st.data())
+def test_codifferential_adjointness(calc, calc3, seed, side, data):
     rng = np.random.default_rng(seed)
-    a = calc.random_form(g, rng)
-    b = calc.random_form(g + 1, rng)
-    assert abs(hodge_inner(a.d(), b, side)
-               - hodge_inner(a, codifferential(b, side), side)) < 1e-10
+    for c in (calc, calc3):
+        g = data.draw(st.integers(0, c.dim - 1), label=f"g at N={c.N}")
+        a = c.random_form(g, rng)
+        b = c.random_form(g + 1, rng)
+        assert abs(hodge_inner(a.d(), b, side)
+                   - hodge_inner(a, codifferential(b, side), side)) < 1e-10
 
 
 def test_codifferential_adjointness_n3(calc3, rng):
