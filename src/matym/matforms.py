@@ -540,21 +540,8 @@ class DiffForm:
         parts = ",".join("h^" + ("".join(map(str, I)) or "0") for I in self.terms)
         return f"DiffForm({parts}; N={self.calc.N})"
 
-    # -- serialization -----------------------------------------------------
 
-    def to_payload(self):
-        """JSON-ready dict: index-tuple strings to `matrix_to_json` matrices."""
-        terms = {_index_key(self.calc, I): matrix_to_json(self.calc, p)
-                 for I, p in self.terms.items()}
-        return {"N": self.calc.N, "exact": self.calc.exact, "terms": terms}
-
-    @classmethod
-    def from_payload(cls, calc, payload):
-        if payload.get("N", calc.N) != calc.N or payload.get("exact", calc.exact) != calc.exact:
-            raise DimensionError("payload does not match the target calculus")
-        return cls(calc, {_parse_index_key(key): matrix_from_json(calc, rows)
-                          for key, rows in payload["terms"].items()})
-
+# -- JSON matrix codec --------------------------------------------------------
 
 def matrix_to_json(calc, p):
     """Row-major [re, im] pairs: floats, or rational strings in exact mode."""
@@ -579,19 +566,3 @@ def matrix_from_json(calc, rows):
     m = np.empty((calc.N, calc.N), dtype=complex)
     m.real, m.imag = arr[..., 0], arr[..., 1]
     return m
-
-
-def _index_key(calc, I):
-    # single digits concatenate ("13"); larger calculi need separators
-    if calc.dim <= 9:
-        return "".join(str(i) for i in I)
-    return ",".join(str(i) for i in I)
-
-
-def _parse_index_key(key):
-    if not key:
-        return ()
-    if "," in key:
-        return tuple(int(s) for s in key.split(","))
-    return tuple(int(ch) for ch in key)
-

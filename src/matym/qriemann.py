@@ -208,7 +208,7 @@ def _transposed(n, N):
     return np.arange(n).reshape(-1, N, N).transpose(0, 2, 1).ravel()
 
 
-def codifferential_matrix(calc, g, side="left"):
+def codifferential_matrix(calc, g):
     """Matrix of codifferential from grade g >= 1 to g - 1.
 
     eps_g S_{d-g+1} conj(D_{d-g}) S_g with S the star's signed permutation
@@ -216,54 +216,43 @@ def codifferential_matrix(calc, g, side="left"):
     from the star and d, so the Laplacian's hermiticity still tests the
     star's signs. Both stars are applied as one gather of D's entries.
     """
-    _check_side(side)
     d = calc.dim
     rows, rsign = _star_table(calc, d - g + 1)
     if (g + (d - g + 1) * (g - 1)) % 2:
         rsign = -rsign
     src_in, sign_in = _star_table(calc, g)
     cols = np.argsort(src_in)  # column i of X S_g is column j of X, src_in[j] = i
-    csign = sign_in[cols]
-    if side == "right":
-        # the involution on both sides, which also undoes the conjugation
-        tr, tc = _transposed(len(rows), calc.N), _transposed(len(cols), calc.N)
-        rows, rsign, cols, csign = rows[tr], rsign[tr], cols[tc], csign[tc]
     M = d_matrix(calc, d - g)[np.ix_(rows, cols)]
-    if side == "left":
-        np.conjugate(M, out=M)
+    np.conjugate(M, out=M)
     M *= rsign[:, None]
-    M *= csign
+    M *= sign_in[cols]
     return M
 
 
-def gram_matrices(calc, grade, side="left"):
+def gram_matrices(calc, grade):
     """(H, G) with H_ij = <L b_j, b_i> and G_ij = <b_j, b_i>, L the Laplacian
     on grade k = grade.
 
     In the h^I E_rc basis both inner products have Gram matrix Id/N, so H
     is the coefficient matrix D_{k-1} Delta_k + Delta_{k+1} D_k of the
-    operator scaled by 1/N (conjugated entrywise on the right side, whose
-    inner product is antilinear in the first slot). Each pair of factors
-    is built (Delta first, so that the D it is gathered from is gone before
-    the other factor is built), multiplied into H in place and dropped
-    before anything else is allocated.
+    operator scaled by 1/N. Each pair of factors is built (Delta first, so
+    that the D it is gathered from is gone before the other factor is
+    built), multiplied into H in place and dropped before anything else is
+    allocated.
     """
-    _check_side(side)
     n = len(calc.basis_indices(grade)) * calc.N ** 2
     H = np.zeros((n, n), dtype=complex)
     if grade > 0:
-        cod = codifferential_matrix(calc, grade, side).astype(complex, copy=False)
+        cod = codifferential_matrix(calc, grade).astype(complex, copy=False)
         np.matmul(d_matrix(calc, grade - 1).astype(complex, copy=False), cod, out=H)
         del cod
     if grade < calc.dim:
-        A = codifferential_matrix(calc, grade + 1, side).astype(complex, copy=False)
+        A = codifferential_matrix(calc, grade + 1).astype(complex, copy=False)
         B = d_matrix(calc, grade).astype(complex, copy=False)
         for r in range(0, n, _ROW_BLOCK):
             H[r:r + _ROW_BLOCK] += A[r:r + _ROW_BLOCK] @ B
         del A, B
     H /= calc.N
-    if side == "right":
-        np.conjugate(H, out=H)
     G = np.eye(n) / calc.N
     return H, G
 
@@ -276,18 +265,18 @@ def eigensolve(H, G):
     return scipy.linalg.eigvalsh(H, G)
 
 
-def spectrum(calc, grade, side="left"):
-    """Ascending real eigenvalues of the Laplacian on grade-k forms: the
+def spectrum(calc, grade):
+    """Ascending real eigenvalues of the (left) Laplacian on grade-k forms: the
     Gram pair of gram_matrices, checked hermitian, through eigensolve
     (which loads scipy on the first call)."""
-    H, G = gram_matrices(calc, grade, side)
+    H, G = gram_matrices(calc, grade)
     herm_defect = np.max(np.abs(H - H.conj().T))
     if herm_defect > 1e-9:
         raise ValueError(f"Laplacian Gram matrix not hermitian (defect {herm_defect:.3e})")
     return eigensolve(H, G)
 
 
-def write_spectrum_csv(calc, stream, side="left", grades=None):
+def write_spectrum_csv(calc, stream, grades=None):
     """Columns (grade, index, eigenvalue), 17 digits, one row per eigenvalue
     of each grade (default 0..d); returns the number of rows."""
     if grades is None:
@@ -295,7 +284,7 @@ def write_spectrum_csv(calc, stream, side="left", grades=None):
     stream.write("grade,index,eigenvalue\n")
     count = 0
     for g in grades:
-        for idx, val in enumerate(spectrum(calc, g, side)):
+        for idx, val in enumerate(spectrum(calc, g)):
             stream.write(f"{g},{idx},{val:.17g}\n")
             count += 1
     return count

@@ -5,6 +5,10 @@ own child generator, so the list can be reordered or filtered without
 changing individual outcomes). Checks marked convention-sensitive probe
 sign choices the source material leaves open; they are reported as
 warnings unless strict mode promotes them.
+
+The registry `_CHECKS` is the one statement of each identity it checks:
+the test suite runs every entry as its own case at N=2 and N=3
+(tests/test_verify.py) rather than restating it.
 """
 
 from __future__ import annotations

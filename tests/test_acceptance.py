@@ -8,7 +8,6 @@ verbose run reads as a pass/fail sheet.
 import json
 import time
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 
@@ -18,7 +17,7 @@ import matym.qriemann as qr
 from matym import (ChargedSection, DerivationCalculus, DiffForm,
                    FieldConfiguration, GaugeConnection, GaussianRational,
                    PolynomialPotential, QvbForm, SolverOptions, dagger,
-                   run_verification, solve_stationary)
+                   solve_stationary)
 from matym.cli import main as cli_main
 
 CALC = DerivationCalculus(2)
@@ -339,14 +338,16 @@ def test_criterion_06_laplacian_spectra():
     herm = 0.0
     floor = 0.0
     oracle = 0.0
-    for side in ("left", "right"):
-        for g in range(4):
-            H, G = qr.gram_matrices(CALC, g, side)
-            M = qr.operator_matrix(CALC, lambda f: qr.laplacian(f, side), g) / CALC.N
-            oracle = max(oracle, float(np.abs(H - (M if side == "left" else M.conj())).max()))
-            herm = max(herm, float(np.abs(H - H.conj().T).max()),
-                       float(np.abs(G - G.conj().T).max()))
-            floor = min(floor, float(np.min(qr.spectrum(CALC, g, side))))
+    for g in range(4):
+        H, G = qr.gram_matrices(CALC, g)
+        L = qr.operator_matrix(CALC, qr.laplacian, g) / CALC.N
+        # the right-side Laplacian, which has no matrix path of its own
+        R = qr.operator_matrix(CALC, lambda f: qr.laplacian(f, "right"), g) / CALC.N
+        oracle = max(oracle, float(np.abs(H - L).max()))
+        herm = max(herm, float(np.abs(H - H.conj().T).max()),
+                   float(np.abs(G - G.conj().T).max()), float(np.abs(R - R.conj().T).max()))
+        floor = min(floor, float(np.min(qr.spectrum(CALC, g))),
+                    float(np.min(np.linalg.eigvalsh(CALC.N * R))))
     assert oracle <= 1e-12
     assert herm <= 1e-12
     assert floor >= -1e-9
@@ -525,12 +526,10 @@ def test_criterion_14_gauge_phase_invariance_exact():
 
 
 def test_criterion_15_deterministic_verification(tmp_path):
-    rep1 = run_verification(seed=5)
-    rep2 = run_verification(seed=5)
-    assert json.dumps(rep1, sort_keys=True) == json.dumps(rep2, sort_keys=True)
+    # seed 3 takes the triplet check's retry ladder, the longest path
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
-    assert cli_main(["--mode", "verify", "--seed", "5", "--out", str(out1)]) == 0
-    assert cli_main(["--mode", "verify", "--seed", "5", "--out", str(out2)]) == 0
+    assert cli_main(["--mode", "verify", "--seed", "3", "--out", str(out1)]) == 0
+    assert cli_main(["--mode", "verify", "--seed", "3", "--out", str(out2)]) == 0
     with open(out1) as f:
         doc1 = json.load(f)
     with open(out2) as f:

@@ -9,12 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from matym.cli import (_DEFAULTS, MODES, ConfigError, dense_matrix_bytes, main,
-                        validate_config)
-
-
-def run(tmp_path, *argv):
-    return main(list(argv)), tmp_path
+from matym.cli import (_DEFAULTS, MODES, ConfigError, build_parser, dense_matrix_bytes,
+                        main, merge_config, validate_config)
 
 
 def read_report(path):
@@ -108,9 +104,8 @@ def test_dense_matrix_estimate():
 def test_flags_override_config(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"mode": "verify", "seed": 1}))
-    out = tmp_path / "r.json"
-    assert main(["--config", str(cfg), "--seed", "9", "--out", str(out)]) == 0
-    assert read_report(out)["report"]["seed"] == 9
+    merged = merge_config(build_parser().parse_args(["--config", str(cfg), "--seed", "9"]))
+    assert merged["seed"] == 9 and merged["mode"] == "verify"
 
 
 def test_potential_flag_parsing(tmp_path):
@@ -153,34 +148,6 @@ def test_verify_deterministic(tmp_path):
     a, b = read_report(out1), read_report(out2)
     dump = lambda d: json.dumps(d["report"], sort_keys=True).encode()
     assert dump(a) == dump(b)
-
-
-def _verify_check_at_n3(name):
-    # one registered check alone: a full N=3 verify is slow
-    from matym.verify import _CHECKS, _Ctx
-    check = {n: fn for n, _, fn in _CHECKS}[name]
-    return check(_Ctx(seed=0, N=3))
-
-
-@pytest.mark.slow
-def test_verify_n3_all_checks_pass(tmp_path, capsys):
-    out = tmp_path / "r.json"
-    assert main(["--mode", "verify", "--N", "3", "--out", str(out)]) == 0
-    summary = read_report(out)["report"]["summary"]
-    assert summary["passed"] == summary["total"] == 56
-    assert "verify: 56/56 checks passed" in capsys.readouterr().out
-
-
-def test_exact_numeric_cross_check_at_n3():
-    # the exact calculus exists at N=2 only; the check must not feed its
-    # data into the N=3 calculus of the run
-    ok, detail = _verify_check_at_n3("exact_numeric_cross_check")
-    assert ok, detail
-
-
-def test_worked_example_flat_sections_at_n3():
-    ok, detail = _verify_check_at_n3("worked_example_flat_sections")
-    assert ok, detail
 
 
 # -- solve mode ----------------------------------------------------------------

@@ -15,7 +15,6 @@ import pytest
 
 from matym import (
     ChargedSection,
-    DerivationCalculus,
     DiffForm,
     FieldConfiguration,
     GaugeConnection,
@@ -448,25 +447,6 @@ def test_fd_gradient_accepts_exact_potential_coefficients(xcalc, rng):
 
 
 # -- variational consistency ------------------------------------------------------
-
-@pytest.mark.parametrize("kind", ["connection", "left", "right"])
-def test_variational_consistency(calc, rng, kind):
-    worst = 0.0
-    for i in range(30):
-        n = [0, 1, 2][i % 3]
-        cfg = random_configuration(
-            calc, rng, charge=n, potential=PolynomialPotential([0.4, -1.1, 0.6]))
-        if kind == "connection":
-            d = VariationDirection.connection(calc.random_form(1, rng))
-        elif kind == "left":
-            d = VariationDirection.left(calc.random_matrix(rng))
-        else:
-            d = VariationDirection.right(calc.random_matrix(rng))
-        g_fd = action_gradient_fd(cfg, d)
-        g_an = complex(analytic_gradient(cfg, d))
-        worst = max(worst, abs(g_fd - g_an) / max(abs(g_fd), abs(g_an), 1e-8))
-    assert worst < 1e-5
-
 
 def test_pure_ym_gradient_pairing(calc, rng):
     cfg = FieldConfiguration(GaugeConnection(calc.random_form(1, rng)))

@@ -386,42 +386,3 @@ def test_exact_structure_constants(xcalc):
     assert F[0][1][2] == GaussianRational(-1)
     assert F[1][0][2] == GaussianRational(1)
     assert not F[0][1][1]
-
-
-# -- serialization -----------------------------------------------------------
-
-def test_payload_roundtrip_numeric(calc, rng):
-    a = rand_form(calc, 0, rng) + rand_form(calc, 2, rng)
-    back = DiffForm.from_payload(calc, a.to_payload())
-    assert back.allclose(a, 1e-15)
-
-
-def test_payload_roundtrip_exact(xcalc, rng):
-    a = rand_form(xcalc, 1, rng) + rand_form(xcalc, 3, rng)
-    payload = a.to_payload()
-    assert payload["exact"] is True
-    back = DiffForm.from_payload(xcalc, payload)
-    assert back == a
-
-
-def test_payload_wide_index_keys(rng):
-    # dim > 9 forces comma-separated index keys
-    calc = DerivationCalculus(4)
-    a = DiffForm(calc, {(1, 12): calc.random_matrix(rng)})
-    payload = a.to_payload()
-    assert "1,12" in payload["terms"]
-    assert DiffForm.from_payload(calc, payload).allclose(a, 1e-15)
-
-
-def test_payload_mismatched_calculus(calc, calc3, rng):
-    a = rand_form(calc, 1, rng)
-    with pytest.raises(DimensionError):
-        DiffForm.from_payload(calc3, a.to_payload())
-
-
-def test_payload_oversized_matrix_refused(calc, calc3, rng):
-    # 3x3 coefficients at N=2 are refused, not cut to their 2x2 block
-    payload = DiffForm(calc3, {(1,): calc3.random_matrix(rng)}).to_payload()
-    payload["N"] = 2
-    with pytest.raises(DimensionError, match="shape"):
-        DiffForm.from_payload(calc, payload)
