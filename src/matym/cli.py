@@ -9,6 +9,7 @@ files stay comparable.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import io
 import json
@@ -34,18 +35,13 @@ _DEFAULTS = {
     "seed": 0,
     "charge": 0,
     "potential": [0.0],
-    "tol": 1e-8,
-    "max_iter": 100_000,
-    "method": "gauss_newton",
+    **dataclasses.asdict(fd.SolverOptions()),
     "grade": None,
     "out": None,
     "strict_conventions": False,
     "connection": None,
     "left": None,
     "right": None,
-    "vary_connection": True,
-    "vary_left": True,
-    "vary_right": True,
 }
 
 
@@ -141,6 +137,12 @@ def validate_config(cfg):
     for key in ("connection", "left", "right"):
         if cfg[key] is not None and cfg["mode"] != "solve":
             raise ConfigError(key, "only meaningful in solve mode")
+    sections = _has_sections(cfg)
+    if cfg["mode"] == "solve" and not cfg["vary_connection"] and not (
+            sections and (cfg["vary_left"] or cfg["vary_right"])):
+        raise ConfigError("vary_connection", "no field is varied (" + (
+            "vary_left and vary_right are false too)" if sections else
+            "with charge 0 and no section the connection is the only field)"))
     size = dense_matrix_bytes(cfg)
     if size > MAX_DENSE_BYTES:
         raise ConfigError("N", f"the run would build a dense matrix of "
@@ -182,6 +184,10 @@ def _decode(field, parse, *args):
         raise ConfigError(field, str(exc)) from None
 
 
+def _has_sections(cfg):
+    return cfg["charge"] != 0 or cfg["left"] is not None or cfg["right"] is not None
+
+
 def _build_solve_configuration(cfg, calc, rng):
     if cfg["connection"] is not None:
         if not isinstance(cfg["connection"], dict):
@@ -190,8 +196,7 @@ def _build_solve_configuration(cfg, calc, rng):
     else:
         conn = qb.GaugeConnection(calc.random_form(1, rng))
     n = cfg["charge"]
-    with_sections = n != 0 or cfg["left"] is not None or cfg["right"] is not None
-    if not with_sections:
+    if not _has_sections(cfg):
         return fd.FieldConfiguration(conn)
     a, b = (calc.random_matrix(rng) if cfg[side] is None
             else _decode(side, matrix_from_json, calc, cfg[side])
@@ -228,10 +233,8 @@ def _run_solve(cfg):
     calc = DerivationCalculus(cfg["N"])
     rng = np.random.default_rng(cfg["seed"])
     cfg0 = _build_solve_configuration(cfg, calc, rng)
-    options = fd.SolverOptions(
-        tol=cfg["tol"], max_iter=cfg["max_iter"], method=cfg["method"],
-        vary_connection=cfg["vary_connection"], vary_left=cfg["vary_left"],
-        vary_right=cfg["vary_right"])
+    options = fd.SolverOptions(**{f.name: cfg[f.name]
+                                  for f in dataclasses.fields(fd.SolverOptions)})
     initial_actions = fd.action_summary(cfg0)
     solved, report = fd.solve_stationary(cfg0, options)
     report.seed = cfg["seed"]
@@ -265,11 +268,11 @@ def _run_spectrum(cfg):
 
 
 def _emit(path, text):
-    if path is None:
-        sys.stdout.write(text)
-    else:
+    try:
         with open(path, "w", encoding="utf-8", newline="") as f:
             f.write(text)
+    except OSError as exc:
+        raise ConfigError("out", str(exc)) from None
 
 
 def build_parser():
@@ -322,38 +325,25 @@ def merge_config(args):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = merge_config(args)
-    except ConfigError as exc:
-        print(f"matym: config error: {exc}", file=sys.stderr)
-        return 2
-
-    started = time.time()
-    stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    timing = {"generated_at": stamp}
-    try:
-        if cfg["mode"] == "verify":
-            body, line, code = _run_verify(cfg, timing)
-        elif cfg["mode"] == "solve":
-            body, line, code = _run_solve(cfg)
-        else:
+        started = time.time()
+        timing = {"generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat()}
+        if cfg["mode"] == "spectrum":
             text, line, code = _run_spectrum(cfg)
-            _emit(cfg["out"] or "spectrum.csv", text)
-            print(line)
-            return code
+        else:
+            body, line, code = (_run_verify(cfg, timing) if cfg["mode"] == "verify"
+                                else _run_solve(cfg))
+            timing["elapsed_seconds"] = time.time() - started
+            text = json.dumps({"report": body, "timing": timing}, indent=2, sort_keys=True) + "\n"
+        _emit(cfg["out"] or ("spectrum.csv" if cfg["mode"] == "spectrum" else "report.json"), text)
     except ConfigError as exc:
         print(f"matym: config error: {exc}", file=sys.stderr)
         return 2
     except fd.SolverAbort as exc:
         print(f"matym: solver aborted: {exc}", file=sys.stderr)
         return 1
-
-    timing["elapsed_seconds"] = time.time() - started
-    document = {"report": body, "timing": timing}
-    _emit(cfg["out"] or "report.json",
-          json.dumps(document, indent=2, sort_keys=True) + "\n")
     print(line)
     return code
 

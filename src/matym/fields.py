@@ -10,34 +10,36 @@ against central finite differences in the test suite:
   right section direction v: dS/dz = -(1/4) <R2 | v>_R.
 
 The residual operations return the field equations in their printed
-shapes (zero sets define stationarity); `analytic_gradient` applies the
-constants above, and `action_gradient_fd` is the independent oracle: it
-differentiates the action, never the field equations it is compared with.
+shapes (zero sets define stationarity); `analytic_gradient` reads the
+direction's block of `residual_blocks`, from the same evaluator, and
+applies the constants above on the coefficient arrays; `action_gradient_fd`
+is the independent oracle: it differentiates the action, never the field
+equations it is compared with.
 
 Each action and each field equation is stated once, on the connection's
 grade-1 coefficient array and the section matrices, with dense operator
-matrices built once per calculus on first use and dropped with it (D_0,
-Delta_1, Delta_2 D_1 and D_1, in the calculus' own scalars): the actions
-in `_table_action`, the equations in `residual_blocks`' docstring. The
-solver evaluates them in floats; `ym_action`, `gsm_action`, `sm_action`,
-`ymsm_action`, `ymsm_connection_residual` and `ymsm_section_residuals`
-read them off in either scalar field, exact Gaussian rationals included.
-`ym_residual`, `sm_residuals` and `continuity_residual` are the operator
-definitions on DiffForms that the checks compare against.
+matrices (D_0, Delta_1, Delta_2 D_1 and D_1, in the calculus' own
+scalars) built on first use and kept in the one per-calculus cache that
+holds its d, wedge and star tables: the actions in `_table_action`, the
+equations in `residual_blocks`' docstring. The solver evaluates them in
+floats; `ym_action`, `gsm_action`, `sm_action`, `ymsm_action`,
+`ymsm_connection_residual` and `ymsm_section_residuals` read them off in
+either scalar field, exact Gaussian rationals included. `ym_residual`,
+`sm_residuals` and `continuity_residual` are the operator definitions on
+DiffForms that the checks compare against.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .matforms import CONVENTIONS_ID, DiffForm, dagger
+from .matforms import CONVENTIONS_ID, DiffForm, _compiled, dagger
 from .qbundle import ChargedSection, GaugeConnection, QvbForm, cov_codifferential
-from .qriemann import (codifferential, codifferential_matrix, d_matrix, form_to_vec,
-                       hodge_inner, state, vec_to_form)
+from .qriemann import (codifferential, codifferential_matrix, d_matrix, form_to_vec, state,
+                       vec_to_form)
 
 
 class PolynomialPotential:
@@ -234,7 +236,7 @@ def continuity_residual(conn):
 
 # -- variational oracles ----------------------------------------------------
 
-def action_gradient_fd(cfg, direction, step=1e-6):
+def action_gradient_fd(cfg, direction):
     """Wirtinger derivative d/dz of the total action along the direction,
     by central differences in the real and imaginary parts.
 
@@ -243,27 +245,22 @@ def action_gradient_fd(cfg, direction, step=1e-6):
     compared with. It runs in complex floats, an exact configuration's
     arrays, tables and potential coefficients converted.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
+    step = 1e-6
     calc = cfg.calc
-    N = calc.N
     cfg = FieldConfiguration(cfg.connection, cfg.left, cfg.right, PolynomialPotential(
         complex(c) for c in cfg.potential.coefficients))
     tables = [np.asarray(t, dtype=complex) for t in _tables(calc)]
-    A, a, b = (None if x is None else np.asarray(x, dtype=complex)
-               for x in _coefficient_arrays(cfg))
-    if direction.kind == "connection":
-        shift = form_to_vec(direction.value, [1]).reshape(-1, N, N)
-    else:
-        shift = np.asarray(calc.matrix(direction.value), dtype=complex)
+    arrays = [None if x is None else np.asarray(x, dtype=complex)
+              for x in _coefficient_arrays(cfg)]
+    i = VariationDirection.KINDS.index(direction.kind)
+    value = direction.value
+    shift = form_to_vec(value, 1) if i == 0 else np.asarray(calc.matrix(value), dtype=complex)
+    shift = shift.reshape(arrays[i].shape)
 
     def S(z):
-        moved = z * shift
-        if direction.kind == "connection":
-            return sum(_table_action(cfg, tables, A + moved, a, b))
-        if direction.kind == "left":
-            return sum(_table_action(cfg, tables, A, a + moved, b))
-        return sum(_table_action(cfg, tables, A, a, b + moved))
+        moved = list(arrays)
+        moved[i] = arrays[i] + z * shift
+        return sum(_table_action(cfg, tables, *moved))
 
     d_re = (S(step) - S(-step)) / (2 * step)
     d_im = (S(1j * step) - S(-1j * step)) / (2 * step)
@@ -271,42 +268,29 @@ def action_gradient_fd(cfg, direction, step=1e-6):
 
 
 def analytic_gradient(cfg, direction):
-    """The same derivative from the assembled field equations."""
-    calc = cfg.calc
-    sc = calc.scalars
-    if direction.kind == "connection":
-        if cfg.charge != 0 and cfg.has_sections:
-            G = ymsm_connection_residual(cfg) * sc.frac(1, 4)
-        else:
-            G = ym_residual(cfg.connection) * sc.frac(-1, 2)
-        return hodge_inner(direction.value, G, "left")
-    r1, r2 = ymsm_section_residuals(cfg)
-    if direction.kind == "left":
-        u = calc.scalar_form(calc.matrix(direction.value))
-        return sc.frac(1, 4) * hodge_inner(u, r1.form, "left")
-    v = calc.scalar_form(calc.matrix(direction.value))
-    return sc.frac(-1, 4) * hodge_inner(r2.form, v, "right")
+    """The same derivative from the field equations: the direction's block
+    of `residual_blocks` r paired with the direction x, s(sum_I x_I r_I+),
+    times the constant above. Only that block's equation is evaluated."""
+    calc, sc, kind = cfg.calc, cfg.calc.scalars, direction.kind
+    if kind == "connection":
+        x, r = direction.value.array(1), _at(cfg, _connection_equation)
+        weight = sc.frac(1, 4) if cfg.charge else sc.frac(-1, 2)  # n != 0 only with sections
+    else:
+        x, r = calc.matrix(direction.value), _at(cfg, _section_equations)[kind]
+        weight = sc.frac(1, 4) if kind == "left" else sc.frac(-1, 4)
+    return weight * np.vdot(r, x) / calc.N
 
 
 # -- operator tables -----------------------------------------------------
 
-_TABLES = weakref.WeakKeyDictionary()
-
-
+@_compiled
 def _tables(calc):
     """(D_0, Delta_1, Delta_2 D_1, D_1) of the calculus in its own scalars
-    (calc.dtype), built on first use and kept for as long as the calculus
-    lives."""
-    tables = _TABLES.get(calc)
-    if tables is None:
-        D1 = d_matrix(calc, 1)
-        tables = _TABLES[calc] = (
-            d_matrix(calc, 0),
-            codifferential_matrix(calc, 1),
-            codifferential_matrix(calc, 2) @ D1,
-            D1,
-        )
-    return tables
+    (calc.dtype), built on first use and kept with the calculus' other
+    tables."""
+    D1 = d_matrix(calc, 1)
+    return (d_matrix(calc, 0), codifferential_matrix(calc, 1),
+            codifferential_matrix(calc, 2) @ D1, D1)
 
 
 def _coefficient_arrays(cfg):
@@ -399,18 +383,7 @@ class FieldReport:
     notes: str = ""
 
     def to_dict(self):
-        return {
-            "actions": self.actions,
-            "residual_norms": self.residual_norms,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "method": self.method,
-            "tolerance": self.tolerance,
-            "gradient_checks": self.gradient_checks,
-            "seed": self.seed,
-            "conventions_id": self.conventions_id,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
 
 class SolverAbort(RuntimeError):
@@ -624,11 +597,8 @@ def solve_stationary(cfg0, options=None):
     return cfg, report
 
 
-def random_configuration(calc, rng, charge=1, potential=None, scale=1.0,
-                         with_sections=True):
+def random_configuration(calc, rng, charge=1, potential=None, scale=1.0):
     conn = GaugeConnection(calc.random_form(1, rng, scale))
-    left = right = None
-    if with_sections:
-        left = ChargedSection(calc, charge, "left", calc.random_matrix(rng, scale))
-        right = ChargedSection(calc, -charge, "right", calc.random_matrix(rng, scale))
+    left = ChargedSection(calc, charge, "left", calc.random_matrix(rng, scale))
+    right = ChargedSection(calc, -charge, "right", calc.random_matrix(rng, scale))
     return FieldConfiguration(conn, left, right, potential)

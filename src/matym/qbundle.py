@@ -53,8 +53,7 @@ class GaugeConnection:
         return GaugeConnection(-self.A.star())
 
     def is_real(self, tol=IDENTITY_TOL):
-        diff = self.A + self.A.star()
-        return diff.is_zero() if self.calc.exact else diff.frobenius() <= tol
+        return (self.A + self.A.star()).is_zero(tol)
 
     def is_regular(self, tol=IDENTITY_TOL):
         """True iff every coefficient of A is a multiple of the identity."""
@@ -203,9 +202,6 @@ class QvbForm:
     def __neg__(self):
         return QvbForm(self.charge, self.side, -self.form)
 
-    def is_zero(self, tol=0.0):
-        return self.form.is_zero(tol)
-
     def __repr__(self):
         return f"QvbForm(n={self.charge}, side={self.side!r}, {self.form!r})"
 
@@ -280,12 +276,11 @@ def cov_laplacian(conn, psi):
             + cov_derivative(conn, cov_codifferential(conn, psi)))
 
 
-def displacement_K(lam, T, base=None):
-    """K^lambda, the difference of the covariant derivatives of two
-    connections separated by lam; base defaults to the trivial one."""
+def displacement_K(lam, T):
+    """K^lambda, the difference of the covariant derivatives of the
+    connections lam and zero."""
     psi = as_qvb(T)
-    if base is None:
-        base = GaugeConnection.zero(psi.calc)
+    base = GaugeConnection.zero(psi.calc)
     return cov_derivative(base + lam, psi) - cov_derivative(base, psi)
 
 

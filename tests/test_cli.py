@@ -257,6 +257,27 @@ def test_solve_bad_section_shape(tmp_path, capsys):
     assert "left" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc", [
+    {"vary_connection": False, "vary_left": False, "vary_right": False, "charge": 1},
+    {"vary_connection": False, "charge": 0},
+])
+def test_solve_varying_nothing_exits_2(tmp_path, capsys, doc):
+    cfg, out = tmp_path / "c.json", tmp_path / "r.json"
+    cfg.write_text(json.dumps({"mode": "solve", **doc}))
+    assert main(["--config", str(cfg), "--out", str(out)]) == 2
+    assert "matym: config error: vary_connection: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["solve", "spectrum"])
+def test_unwritable_out_exits_2(tmp_path, capsys, mode):
+    # a path in a missing directory, and a directory
+    for out in (tmp_path / "missing" / "r.json", tmp_path):
+        assert main(["--mode", mode, "--seed", "42", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("matym: config error: out: ")
+    assert not (tmp_path / "missing").exists()
+
+
 # -- spectrum mode ----------------------------------------------------------------
 
 def test_spectrum_grade0(tmp_path):

@@ -7,7 +7,9 @@ the covariant-operator route below) and the pairing constants documented
 in the module header.
 """
 
+import gc
 import sys
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +17,7 @@ import pytest
 
 from matym import (
     ChargedSection,
+    DerivationCalculus,
     DiffForm,
     FieldConfiguration,
     GaugeConnection,
@@ -455,6 +458,46 @@ def test_pure_ym_gradient_pairing(calc, rng):
     g_fd = action_gradient_fd(cfg, d)
     want = hodge_inner(lam, -0.5 * ym_residual(cfg.connection), "left")
     assert abs(g_fd - want) / max(abs(want), 1e-9) < 1e-6
+
+
+@pytest.mark.parametrize("charge,sections", [(0, "both"), (1, "both"), (2, "both"), (1, "none")])
+@pytest.mark.parametrize("N", ["2x", 3])
+def test_analytic_gradient_is_the_form_pairing(request, rng, N, charge, sections):
+    """analytic_gradient pairs each direction with its field equation by the
+    module header's constants: the DiffForm pairing of the form residuals,
+    equal to the last digit in exact mode, within 1e-12 relative in floats."""
+    cfg = oracle_configuration(request, rng, N, charge, sections)
+    calc, sc = cfg.calc, cfg.calc.scalars
+    if charge and cfg.has_sections:
+        G = ymsm_connection_residual(cfg) * sc.frac(1, 4)
+    else:
+        G = ym_residual(cfg.connection) * sc.frac(-1, 2)
+    lam = calc.random_form(1, rng)
+    cases = [(VariationDirection.connection(lam), hodge_inner(lam, G, "left"))]
+    if cfg.has_sections:
+        r1, r2 = ymsm_section_residuals(cfg)
+        u, v = (calc.scalar_form(calc.random_matrix(rng)) for _ in range(2))
+        cases += [(VariationDirection.left(u.component(())),
+                   sc.frac(1, 4) * hodge_inner(u, r1.form, "left")),
+                  (VariationDirection.right(v.component(())),
+                   sc.frac(-1, 4) * hodge_inner(r2.form, v, "right"))]
+    for direction, want in cases:
+        got = analytic_gradient(cfg, direction)
+        if calc.exact:
+            assert got == want, direction.kind
+        else:
+            assert abs(got - want) <= 1e-12 * abs(want), direction.kind
+
+
+def test_operator_tables_die_with_their_calculus(rng):
+    """The tables are built once per calculus and dropped with it."""
+    calc = DerivationCalculus(2)
+    residual_blocks(random_configuration(calc, rng, charge=1))
+    assert _tables(calc) is _tables(calc)
+    ref = weakref.ref(calc)
+    del calc
+    gc.collect()
+    assert ref() is None
 
 
 # -- field equation structure -----------------------------------------------------
