@@ -7,6 +7,8 @@ fields (actions, field equations, stationary-point solver), cli/verify
 (front end and named-check suite).
 """
 
+import types
+
 from .exact import GaussianRational
 from .fields import (
     FieldConfiguration,
@@ -72,59 +74,6 @@ from .verify import run_verification
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CONVENTIONS",
-    "CONVENTIONS_ID",
-    "ChargeMismatchError",
-    "ChargedSection",
-    "ConnectionDisplacement",
-    "DerivationCalculus",
-    "DiffForm",
-    "DimensionError",
-    "FieldConfiguration",
-    "FieldReport",
-    "GaugeConnection",
-    "GaussianRational",
-    "GradeError",
-    "PolynomialPotential",
-    "QvbForm",
-    "SolverAbort",
-    "SolverOptions",
-    "VariationDirection",
-    "action_gradient_fd",
-    "analytic_gradient",
-    "codifferential",
-    "continuity_residual",
-    "cov_codifferential",
-    "cov_derivative",
-    "cov_laplacian",
-    "dagger",
-    "displacement_K",
-    "flat_potential",
-    "gram_matrices",
-    "gsm_action",
-    "hodge",
-    "hodge_inner",
-    "hodge_inv",
-    "integral",
-    "laplacian",
-    "metric",
-    "qvb_inner",
-    "random_configuration",
-    "run_verification",
-    "section_inner",
-    "sm_action",
-    "sm_residuals",
-    "solve_stationary",
-    "sort_sign",
-    "spectrum",
-    "state",
-    "upsilon",
-    "upsilon_inv",
-    "write_spectrum_csv",
-    "ym_action",
-    "ym_residual",
-    "ymsm_action",
-    "ymsm_connection_residual",
-    "ymsm_section_residuals",
-]
+# The public names are the ones imported above.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, types.ModuleType))

@@ -29,20 +29,24 @@ from .verify import run_verification
 
 MODES = ("verify", "solve", "spectrum")
 
-_DEFAULTS = {
-    "mode": "verify",
-    "N": 2,
-    "seed": 0,
-    "charge": 0,
-    "potential": [0.0],
-    **dataclasses.asdict(fd.SolverOptions()),
-    "grade": None,
-    "out": None,
-    "strict_conventions": False,
-    "connection": None,
-    "left": None,
-    "right": None,
+# Every config field: its default and the modes that read it. A mode
+# refuses a field it does not read unless the field keeps its default.
+_SOLVE = ("solve",)
+_FIELDS = {
+    "mode": ("verify", MODES),
+    "N": (2, MODES),
+    "seed": (0, ("verify", "solve")),
+    "charge": (0, _SOLVE),
+    "potential": ([0.0], _SOLVE),
+    **{f.name: (f.default, _SOLVE) for f in dataclasses.fields(fd.SolverOptions)},
+    "grade": (None, ("spectrum",)),
+    "out": (None, MODES),
+    "strict_conventions": (False, ("verify",)),
+    "connection": (None, _SOLVE),
+    "left": (None, _SOLVE),
+    "right": (None, _SOLVE),
 }
+_DEFAULTS = {key: default for key, (default, _) in _FIELDS.items()}
 
 
 # Largest dense matrix one run may build. The spectrum path holds the
@@ -132,13 +136,15 @@ def validate_config(cfg):
             raise ConfigError("grade", f"must be <= {N * N - 1} for N={N}, got {g}")
     if cfg["out"] is not None and not isinstance(cfg["out"], str):
         raise ConfigError("out", "expected a path string")
+    if cfg["out"] == "":
+        raise ConfigError("out", "empty path")
     for key in ("strict_conventions", "vary_connection", "vary_left", "vary_right"):
         _require_bool(cfg, key)
-    for key in ("connection", "left", "right"):
-        if cfg[key] is not None and cfg["mode"] != "solve":
-            raise ConfigError(key, "only meaningful in solve mode")
+    for key, (default, modes) in _FIELDS.items():
+        if cfg["mode"] not in modes and cfg[key] != default:
+            raise ConfigError(key, f"not read in {cfg['mode']} mode")
     sections = _has_sections(cfg)
-    if cfg["mode"] == "solve" and not cfg["vary_connection"] and not (
+    if not cfg["vary_connection"] and not (
             sections and (cfg["vary_left"] or cfg["vary_right"])):
         raise ConfigError("vary_connection", "no field is varied (" + (
             "vary_left and vary_right are false too)" if sections else
@@ -171,7 +177,7 @@ def dense_matrix_bytes(cfg):
     if N**4 * 16 > MAX_DENSE_BYTES:
         rows, entry = N * N, 16
     else:
-        k = cfg["grade"] if cfg["mode"] == "spectrum" and cfg["grade"] is not None else d // 2
+        k = d // 2 if cfg["grade"] is None else cfg["grade"]
         rows, entry = math.comb(d, k) * N * N, 16
     return rows * rows * entry
 
@@ -303,7 +309,7 @@ def load_config_file(path):
     try:
         with open(path, "r", encoding="utf-8") as f:
             raw = f.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError("config", str(exc)) from None
     try:
         data = json.loads(raw)

@@ -53,10 +53,6 @@ class PolynomialPotential:
             coeffs.pop()
         self.coefficients = tuple(coeffs) if coeffs else (0,)
 
-    @property
-    def is_constant(self):
-        return all(not c for c in self.coefficients[1:])
-
     def _horner(self, coeffs, q):
         if not isinstance(q, np.ndarray):
             out = 0 * q

@@ -16,10 +16,8 @@ the two routes are compared in the test suite and the verification sweep.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .matforms import DiffForm, dagger, matrix_from_json, matrix_to_json
-from .qriemann import IDENTITY_TOL, _check_side, codifferential, hodge, hodge_inner
+from .qriemann import _check_side, codifferential, hodge, hodge_inner
 
 
 class ChargeMismatchError(ValueError):
@@ -51,18 +49,6 @@ class GaugeConnection:
     def hat(self):
         """The conjugated connection, with form -A*."""
         return GaugeConnection(-self.A.star())
-
-    def is_real(self, tol=IDENTITY_TOL):
-        return (self.A + self.A.star()).is_zero(tol)
-
-    def is_regular(self, tol=IDENTITY_TOL):
-        """True iff every coefficient of A is a multiple of the identity."""
-        calc, P = self.calc, self.A.array(1)
-        resid = P - np.trace(P, axis1=1, axis2=2)[:, None, None] / calc.N * calc.identity()
-        if calc.exact:
-            return not np.count_nonzero(resid)
-        scale = np.maximum(1.0, np.abs(P).max(axis=(1, 2)))
-        return bool(np.all(np.abs(resid).max(axis=(1, 2)) <= tol * scale))
 
     def __add__(self, other):
         if isinstance(other, ConnectionDisplacement):

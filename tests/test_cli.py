@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -38,8 +40,16 @@ def test_malformed_json_names_line(tmp_path, capsys):
     assert "line 3" in err
 
 
-def test_missing_config_file_exits_2(tmp_path, capsys):
-    assert main(["--config", str(tmp_path / "absent.json")]) == 2
+@pytest.mark.parametrize("content", [
+    pytest.param(None, id="absent"),
+    pytest.param(b"\xff", id="not_utf8"),
+])
+def test_missing_config_file_exits_2(tmp_path, capsys, content):
+    cfg = tmp_path / "c.json"
+    if content is not None:
+        cfg.write_bytes(content)
+    assert main(["--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("matym: config error: config: ")
 
 
 def test_unknown_field_exits_2(tmp_path, capsys):
@@ -62,12 +72,18 @@ def test_unknown_field_exits_2(tmp_path, capsys):
     ('{"charge": 1.5}', "charge"),
     ('{"vary_left": "yes"}', "vary_left"),
     ('{"mode": "verify", "left": [[1]]}', "left"),
+    # a field that the mode does not read
+    ('{"mode": "verify", "grade": 2}', "grade"),
+    ('{"mode": "spectrum", "charge": 3}', "charge"),
+    ('{"mode": "solve", "grade": 2}', "grade"),
+    ('{"mode": "solve", "strict_conventions": true}', "strict_conventions"),
 ])
 def test_invalid_values_exit_2(tmp_path, capsys, doc, field):
-    cfg = tmp_path / "c.json"
+    cfg, out = tmp_path / "c.json", tmp_path / "r.out"
     cfg.write_text(doc)
-    assert main(["--config", str(cfg)]) == 2
+    assert main(["--config", str(cfg), "--out", str(out)]) == 2
     assert field in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_dense_matrix_estimate():
@@ -115,6 +131,16 @@ def test_potential_flag_parsing(tmp_path):
                  "--tol", "1e-9", "--out", str(out)])
     assert code == 0
     assert read_report(out)["report"]["config"]["potential"] == [0.0, 2.5]
+
+
+def test_readme_commands_validate():
+    # every `matym` command in README's sh blocks is accepted as written
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    script = "".join(re.findall(r"```sh\n(.*?)```", readme, re.S)).replace("\\\n", " ")
+    commands = [shlex.split(line) for line in script.splitlines() if line.startswith("matym ")]
+    assert len(commands) == 4
+    for argv in commands:
+        merge_config(build_parser().parse_args(argv[1:]))
 
 
 # -- verify mode --------------------------------------------------------------
@@ -269,13 +295,19 @@ def test_solve_varying_nothing_exits_2(tmp_path, capsys, doc):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("mode", ["solve", "spectrum"])
-def test_unwritable_out_exits_2(tmp_path, capsys, mode):
-    # a path in a missing directory, and a directory
-    for out in (tmp_path / "missing" / "r.json", tmp_path):
-        assert main(["--mode", mode, "--seed", "42", "--out", str(out)]) == 2
+@pytest.mark.parametrize("argv", [
+    pytest.param(["--mode", "solve", "--seed", "42"], id="solve"),
+    pytest.param(["--mode", "spectrum"], id="spectrum"),
+])
+def test_unwritable_out_exits_2(tmp_path, capsys, monkeypatch, argv):
+    # a path in a missing directory, a directory, and the empty path
+    monkeypatch.chdir(tmp_path)
+    for out in (tmp_path / "missing" / "r.json", tmp_path, ""):
+        assert main([*argv, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("matym: config error: out: ")
     assert not (tmp_path / "missing").exists()
+    assert not (tmp_path / "report.json").exists()
+    assert not (tmp_path / "spectrum.csv").exists()
 
 
 # -- spectrum mode ----------------------------------------------------------------

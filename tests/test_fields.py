@@ -82,9 +82,7 @@ def test_polynomial_potential_scalar_and_matrix(rng):
     assert np.allclose(V(m), np.eye(2) - 2 * m + 0.5 * m @ m)
     dV = V.derivative
     assert np.allclose(dV(m), -2 * np.eye(2) + m)
-    assert PolynomialPotential([3.0]).is_constant
-    assert not V.is_constant
-    assert PolynomialPotential([1, 0, 0]).is_constant  # trailing zeros pruned
+    assert PolynomialPotential([1, 0, 0]).coefficients == (1,)  # trailing zeros pruned
 
 
 def test_polynomial_potential_exact():

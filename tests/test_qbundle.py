@@ -67,20 +67,11 @@ def test_reality_predicate(calc, rng):
     p = calc.random_matrix(rng)
     real_coeff = 1j * (p + dagger_np(p))
     conn = GaugeConnection(DiffForm(calc, {(2,): real_coeff}))
-    assert conn.is_real()
     assert conn.hat().A.allclose(conn.A)
-    assert not rand_conn(calc, rng).is_real()
 
 
 def dagger_np(p):
     return np.asarray(p).conj().T
-
-
-def test_regularity_predicate(calc, rng):
-    regular = GaugeConnection(DiffForm(calc, {
-        (1,): (0.3 + 1j) * np.eye(2), (3,): 2.0 * np.eye(2)}))
-    assert regular.is_regular()
-    assert not rand_conn(calc, rng).is_regular()
 
 
 def test_connection_affine_ops(calc, rng):
