@@ -68,8 +68,6 @@ class ConfigError(Exception):
 def _parse_potential(value):
     if isinstance(value, str):
         parts = [s.strip() for s in value.split(",") if s.strip()]
-        if not parts:
-            raise ConfigError("potential", "no coefficients given")
         try:
             value = [float(s) for s in parts]
         except ValueError as exc:
@@ -83,6 +81,8 @@ def _parse_potential(value):
         if not np.isfinite(c):
             raise ConfigError("potential", "coefficients must be finite")
         coeffs.append(float(c))
+    if not coeffs:
+        raise ConfigError("potential", "no coefficients given")
     return coeffs
 
 
@@ -241,8 +241,9 @@ def _run_solve(cfg):
     cfg0 = _build_solve_configuration(cfg, calc, rng)
     options = fd.SolverOptions(**{f.name: cfg[f.name]
                                   for f in dataclasses.fields(fd.SolverOptions)})
-    initial_actions = fd.action_summary(cfg0)
+    # solve first: a non-finite start aborts there, before its actions are evaluated
     solved, report = fd.solve_stationary(cfg0, options)
+    initial_actions = fd.action_summary(cfg0)
     report.seed = cfg["seed"]
     curv_norm = solved.connection.curvature().frobenius()
     body = {

@@ -507,6 +507,7 @@ class _Packing:
         return self.cfg.replace(conn, arrays.get("left"), arrays.get("right"))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def solve_stationary(cfg0, options=None):
     """Drive the field-equation residual to zero by Gauss-Newton steps.
 
@@ -514,7 +515,8 @@ def solve_stationary(cfg0, options=None):
     Jacobian and halves it until the squared residual norm decreases. Both
     METHODS values run this loop. Returns (configuration, report);
     stagnation produces a non-converged report, while non-finite
-    line-search values raise SolverAbort.
+    line-search values raise SolverAbort. numpy's overflow and invalid
+    warnings are off for the call: those checks already act on such values.
     """
     options = options or SolverOptions()
     if options.method not in METHODS:

@@ -8,7 +8,9 @@ warnings unless strict mode promotes them.
 
 The registry `_CHECKS` is the one statement of each identity it checks:
 the test suite runs every entry as its own case at N=2 and N=3
-(tests/test_verify.py) rather than restating it.
+(tests/test_verify.py) rather than restating it. A check whose rule is
+"the largest deviation over seeded draws is below a bound" is declared
+with `_sweep(name, bound, salt)`, and its body only yields the deviations.
 """
 
 from __future__ import annotations
@@ -33,6 +35,24 @@ def _check(name, convention_sensitive=False):
     return register
 
 
+def _sweep(name, bound, salt=None, label="max deviation", suffix="",
+           convention_sensitive=False):
+    """Register a check that passes when every deviation its body yields,
+    given ctx (and ctx.rng(salt) if a salt is given), is below `bound`. The
+    detail reads "<label> <largest><suffix>". An empty sweep fails, as does a NaN.
+    """
+    def register(body):
+        def check(ctx):
+            devs = list(body(ctx) if salt is None else body(ctx, ctx.rng(salt)))
+            if not devs:
+                return False, f"{label}: no draws"
+            worst = float(np.max(devs))
+            return worst < bound, f"{label} {worst:.2e}{suffix}"
+        check.bound = bound
+        return _check(name, convention_sensitive)(check)
+    return register
+
+
 class _Ctx:
     def __init__(self, seed, N=2):
         self.seed = seed
@@ -44,21 +64,15 @@ class _Ctx:
         return np.random.default_rng([self.seed, salt])
 
 
-def _maxdev(values):
-    return max(values) if values else 0.0
-
-
 # -- graded algebra -------------------------------------------------------
 
-@_check("generator_normalization")
+@_sweep("generator_normalization", 1e-13)
 def _(ctx):
     calc = ctx.calc
-    devs = []
     for a in range(calc.dim):
         for b in range(calc.dim):
             t = np.trace(calc.generators[a] @ calc.generators[b])
-            devs.append(abs(t - (0.5 if a == b else 0.0)))
-    return _maxdev(devs) < 1e-13, f"max deviation {_maxdev(devs):.2e}"
+            yield abs(t - (0.5 if a == b else 0.0))
 
 
 @_check("structure_constants_real_antisymmetric")
@@ -82,15 +96,12 @@ def _(ctx):
     return True, "d h^1 = +h^23, d h^2 = -h^13, d h^3 = +h^12"
 
 
-@_check("differential_squares_to_zero")
-def _(ctx):
-    rng = ctx.rng(3)
-    devs = []
+@_sweep("differential_squares_to_zero", 1e-12, 3, "max |dd w|")
+def _(ctx, rng):
     for _ in range(20):
         w = sum((ctx.calc.random_form(g, rng) for g in range(1, 3)),
                 ctx.calc.random_form(0, rng))
-        devs.append(w.d().d().frobenius())
-    return _maxdev(devs) < 1e-12, f"max |dd w| {_maxdev(devs):.2e}"
+        yield w.d().d().frobenius()
 
 
 @_check("differential_squares_to_zero_exact")
@@ -103,10 +114,8 @@ def _(ctx):
     return True, "dd = 0 exactly in rational arithmetic"
 
 
-@_check("graded_leibniz_rule")
-def _(ctx):
-    rng = ctx.rng(5)
-    devs = []
+@_sweep("graded_leibniz_rule", 1e-10, 5)
+def _(ctx, rng):
     for gm in range(0, 3):
         for gn in range(0, 3 - gm):
             for _ in range(10):
@@ -114,48 +123,38 @@ def _(ctx):
                 nu = ctx.calc.random_form(gn, rng)
                 lhs = (mu * nu).d()
                 rhs = mu.d() * nu + (-1) ** gm * (mu * nu.d())
-                devs.append((lhs - rhs).frobenius())
-    return _maxdev(devs) < 1e-10, f"max deviation {_maxdev(devs):.2e}"
+                yield (lhs - rhs).frobenius()
 
 
-@_check("involution_graded_antimultiplicative")
-def _(ctx):
-    rng = ctx.rng(6)
-    devs = []
+@_sweep("involution_graded_antimultiplicative", 1e-10, 6)
+def _(ctx, rng):
     for gm in range(0, 3):
         for gn in range(0, 3 - gm):
             mu = ctx.calc.random_form(gm, rng)
             nu = ctx.calc.random_form(gn, rng)
             lhs = (mu * nu).star()
             rhs = (-1) ** (gm * gn) * (nu.star() * mu.star())
-            devs.append((lhs - rhs).frobenius())
-    return _maxdev(devs) < 1e-10, f"max deviation {_maxdev(devs):.2e}"
+            yield (lhs - rhs).frobenius()
 
 
-@_check("differential_commutes_with_involution")
-def _(ctx):
-    rng = ctx.rng(7)
-    devs = []
+@_sweep("differential_commutes_with_involution", 1e-11, 7)
+def _(ctx, rng):
     for g in range(0, 3):
         mu = ctx.calc.random_form(g, rng)
-        devs.append((mu.star().d() - mu.d().star()).frobenius())
-    return _maxdev(devs) < 1e-11, f"max deviation {_maxdev(devs):.2e}"
+        yield (mu.star().d() - mu.d().star()).frobenius()
 
 
-@_check("wedge_associative_and_central_coefficients")
-def _(ctx):
-    rng = ctx.rng(8)
+@_sweep("wedge_associative_and_central_coefficients", 1e-12, 8)
+def _(ctx, rng):
     calc = ctx.calc
-    devs = []
     for _ in range(10):
         a = calc.random_form(1, rng)
         b = calc.random_form(1, rng)
         c = calc.random_form(1, rng)
-        devs.append(((a * b) * c - a * (b * c)).frobenius())
+        yield ((a * b) * c - a * (b * c)).frobenius()
         p = calc.random_matrix(rng)
-        devs.append(((calc.scalar_form(p) * a) - a.lmul(p)).frobenius())
-        devs.append(((a * calc.scalar_form(p)) - a.rmul(p)).frobenius())
-    return _maxdev(devs) < 1e-12, f"max deviation {_maxdev(devs):.2e}"
+        yield ((calc.scalar_form(p) * a) - a.lmul(p)).frobenius()
+        yield ((a * calc.scalar_form(p)) - a.rmul(p)).frobenius()
 
 
 # -- Riemannian layer ------------------------------------------------------
@@ -187,7 +186,8 @@ def _(ctx):
         w = ctx.exact.random_form(2, rng)
         if qr.integral(w.d()) != GaussianRational(0):
             return False, "exact-mode integral of an exact top form is nonzero"
-    return _maxdev(devs) < 1e-13, f"max |integral(d mu)| {_maxdev(devs):.2e}"
+    worst = max(devs)
+    return worst < 1e-13, f"max |integral(d mu)| {worst:.2e}"
 
 
 @_check("hodge_basis_values", convention_sensitive=True)
@@ -203,52 +203,41 @@ def _(ctx):
     return ok, "star(1) = dvol, star(h^1 p) = h^23 p+, star(h^13 p) = -h^2 p+"
 
 
-@_check("hodge_defining_property")
-def _(ctx):
-    rng = ctx.rng(13)
+@_sweep("hodge_defining_property", 1e-11, 13)
+def _(ctx, rng):
     calc = ctx.calc
-    devs = []
     for g in range(calc.dim + 1):
         for _ in range(25):
             a = calc.random_form(g, rng)
             b = calc.random_form(g, rng)
             lhs = a * qr.hodge(b)
             rhs = calc.volume_form().lmul(qr.metric(a, b, "left"))
-            devs.append((lhs - rhs).frobenius())
-    return _maxdev(devs) < 1e-11, f"max deviation {_maxdev(devs):.2e}"
+            yield (lhs - rhs).frobenius()
 
 
-@_check("hodge_double_application_sign")
-def _(ctx):
-    rng = ctx.rng(14)
+@_sweep("hodge_double_application_sign", 1e-12, 14)
+def _(ctx, rng):
     calc = ctx.calc
     d = calc.dim
-    devs = []
     for k in range(d + 1):
         mu = calc.random_form(k, rng)
-        devs.append((qr.hodge(qr.hodge(mu)) - (-1) ** (k * (d - k)) * mu).frobenius())
-        devs.append((qr.hodge_inv(qr.hodge(mu)) - mu).frobenius())
-    return _maxdev(devs) < 1e-12, f"max deviation {_maxdev(devs):.2e}"
+        yield (qr.hodge(qr.hodge(mu)) - (-1) ** (k * (d - k)) * mu).frobenius()
+        yield (qr.hodge_inv(qr.hodge(mu)) - mu).frobenius()
 
 
-@_check("hodge_module_rules")
-def _(ctx):
-    rng = ctx.rng(15)
+@_sweep("hodge_module_rules", 1e-11, 15)
+def _(ctx, rng):
     calc = ctx.calc
-    devs = []
     for k in range(calc.dim + 1):
         mu = calc.random_form(k, rng)
         p = calc.random_matrix(rng)
-        devs.append((qr.hodge(mu.rmul(p)) - qr.hodge(mu).lmul(dagger(p))).frobenius())
-        devs.append((qr.hodge_inv(mu.lmul(p)) - qr.hodge_inv(mu).rmul(dagger(p))).frobenius())
-    return _maxdev(devs) < 1e-11, f"max deviation {_maxdev(devs):.2e}"
+        yield (qr.hodge(mu.rmul(p)) - qr.hodge(mu).lmul(dagger(p))).frobenius()
+        yield (qr.hodge_inv(mu.lmul(p)) - qr.hodge_inv(mu).rmul(dagger(p))).frobenius()
 
 
-@_check("hodge_pairing_shift")
-def _(ctx):
-    rng = ctx.rng(16)
+@_sweep("hodge_pairing_shift", 1e-11, 16)
+def _(ctx, rng):
     calc = ctx.calc
-    devs = []
     for ga in range(calc.dim + 1):
         for gb in range(calc.dim + 1 - ga):
             gc = calc.dim - ga - gb
@@ -257,101 +246,85 @@ def _(ctx):
             mu = calc.random_form(gc, rng)
             lhs = qr.hodge_inner(mu_hat, qr.hodge_inv(mu_t * mu), "left")
             rhs = qr.hodge_inner(mu_hat * mu_t, qr.hodge_inv(mu), "left")
-            devs.append(abs(lhs - rhs))
-    return _maxdev(devs) < 1e-11, f"max deviation {_maxdev(devs):.2e}"
+            yield abs(lhs - rhs)
 
 
-@_check("right_structures_by_involution")
-def _(ctx):
-    rng = ctx.rng(17)
+@_sweep("right_structures_by_involution", 1e-12, 17)
+def _(ctx, rng):
     calc = ctx.calc
-    devs = []
     for g in range(calc.dim + 1):
         a = calc.random_form(g, rng)
         b = calc.random_form(g, rng)
-        devs.append(float(np.max(np.abs(
-            qr.metric(a, b, "right") - qr.metric(a.star(), b.star(), "left")))))
-        devs.append((qr.hodge_inv(qr.hodge(a, "right"), "right") - a).frobenius())
-    return _maxdev(devs) < 1e-12, f"max deviation {_maxdev(devs):.2e}"
+        yield float(np.max(np.abs(
+            qr.metric(a, b, "right") - qr.metric(a.star(), b.star(), "left"))))
+        yield (qr.hodge_inv(qr.hodge(a, "right"), "right") - a).frobenius()
 
 
 @_check("metric_module_and_positivity")
 def _(ctx):
     rng = ctx.rng(18)
     calc = ctx.calc
-    devs = []
+    worst = 0.0
     for g in range(calc.dim + 1):
         a = calc.random_form(g, rng)
         b = calc.random_form(g, rng)
         m = calc.random_matrix(rng)
-        devs.append(float(np.max(np.abs(
+        worst = max(worst, float(np.max(np.abs(
             qr.metric(a.rmul(m), b, "left") - qr.metric(a, b.rmul(dagger(m)), "left")))))
         gram = np.asarray(qr.metric(a, a, "left"), dtype=complex)
         ev = np.linalg.eigvalsh((gram + gram.conj().T) / 2)
         if np.min(ev) < -1e-10 or abs(qr.hodge_inner(a, a, "left")) < 1e-12:
             return False, "metric not positive on a nonzero form"
-    return _maxdev(devs) < 1e-11, f"max deviation {_maxdev(devs):.2e}"
+    return worst < 1e-11, f"max deviation {worst:.2e}"
 
 
-@_check("codifferential_adjoint_to_differential")
-def _(ctx):
-    rng = ctx.rng(19)
+@_sweep("codifferential_adjoint_to_differential", qr.ADJOINT_TOL, 19)
+def _(ctx, rng):
     calc = ctx.calc
-    devs = []
     for side in ("left", "right"):
         for g in range(calc.dim):
             for _ in range(40):
                 a = calc.random_form(g, rng)
                 b = calc.random_form(g + 1, rng)
-                devs.append(abs(qr.hodge_inner(a.d(), b, side)
-                                - qr.hodge_inner(a, qr.codifferential(b, side), side)))
-    return _maxdev(devs) < qr.ADJOINT_TOL, f"max deviation {_maxdev(devs):.2e}"
+                yield abs(qr.hodge_inner(a.d(), b, side)
+                          - qr.hodge_inner(a, qr.codifferential(b, side), side))
 
 
-@_check("codifferential_squares_to_zero")
-def _(ctx):
-    rng = ctx.rng(20)
+@_sweep("codifferential_squares_to_zero", 1e-12, 20)
+def _(ctx, rng):
     calc = ctx.calc
-    devs = []
     for g in range(calc.dim + 1):
         mu = calc.random_form(g, rng)
-        devs.append(qr.codifferential(qr.codifferential(mu)).frobenius())
-    return _maxdev(devs) < 1e-12, f"max deviation {_maxdev(devs):.2e}"
+        yield qr.codifferential(qr.codifferential(mu)).frobenius()
 
 
-@_check("codifferential_module_identities")
-def _(ctx):
-    rng = ctx.rng(21)
+@_sweep("codifferential_module_identities", 1e-10, 21)
+def _(ctx, rng):
     calc = ctx.calc
     d = calc.dim
-    devs = []
     for g in range(1, d + 1):
         mu = calc.random_form(g, rng)
         m = calc.random_matrix(rng)
         lhs = qr.codifferential(mu.lmul(dagger(m)))
         rhs = (qr.codifferential(mu).lmul(dagger(m))
                + (-1) ** d * qr.hodge_inv(qr.hodge(mu) * calc.scalar_form(m).d()))
-        devs.append((lhs - rhs).frobenius())
+        yield (lhs - rhs).frobenius()
         lhs = qr.codifferential(mu.rmul(m))
         rhs = (qr.codifferential(mu).rmul(m)
                + (-1) ** g * qr.hodge_inv(calc.scalar_form(dagger(m)).d() * qr.hodge(mu)))
-        devs.append((lhs - rhs).frobenius())
-    return _maxdev(devs) < 1e-10, f"max deviation {_maxdev(devs):.2e}"
+        yield (lhs - rhs).frobenius()
 
 
-@_check("codifferential_closed_form_grade1")
-def _(ctx):
-    rng = ctx.rng(22)
+@_sweep("codifferential_closed_form_grade1", 1e-12, 22)
+def _(ctx, rng):
     calc = ctx.calc
-    devs = []
     for _ in range(20):
         ps = [calc.random_matrix(rng) for _ in range(calc.dim)]
         mu = DiffForm(calc, {(k + 1,): p for k, p in enumerate(ps)})
         expect = calc.zero_matrix()
         for k, p in enumerate(ps):
             expect = expect - calc.derive(k + 1, p)
-        devs.append((qr.codifferential(mu) - calc.scalar_form(expect)).frobenius())
-    return _maxdev(devs) < 1e-12, f"max deviation {_maxdev(devs):.2e}"
+        yield (qr.codifferential(mu) - calc.scalar_form(expect)).frobenius()
 
 
 @_check("codifferential_closed_form_grade2_exact")
@@ -377,7 +350,7 @@ def _(ctx):
     calc = ctx.calc
     if calc.N != 2:
         return True, "closed form pinned for N=2 only"
-    devs = []
+    worst = 0.0
     for _ in range(20):
         p = calc.random_matrix(rng)
         mu = calc.basis_form((1, 2, 3), p)
@@ -386,22 +359,19 @@ def _(ctx):
             (1, 3): calc.derive(2, p),
             (2, 3): -calc.derive(1, p),
         })
-        devs.append((qr.codifferential(mu) - expect).frobenius())
-    return _maxdev(devs) < 1e-12, f"max deviation {_maxdev(devs):.2e}"
+        worst = max(worst, (qr.codifferential(mu) - expect).frobenius())
+    return worst < 1e-12, f"max deviation {worst:.2e}"
 
 
-@_check("laplacian_grade0_closed_form")
-def _(ctx):
-    rng = ctx.rng(25)
+@_sweep("laplacian_grade0_closed_form", qr.IDENTITY_TOL, 25)
+def _(ctx, rng):
     calc = ctx.calc
     N = calc.N
-    devs = []
     for _ in range(200):
         p = calc.random_matrix(rng)
         got = qr.laplacian(calc.scalar_form(p)).component(())
         expect = N * (p - qr.state(p) * np.eye(N))
-        devs.append(float(np.max(np.abs(got - expect))))
-    return _maxdev(devs) < qr.IDENTITY_TOL, f"max deviation {_maxdev(devs):.2e}"
+        yield float(np.max(np.abs(got - expect)))
 
 
 @_check("laplacian_spectra")
@@ -448,11 +418,9 @@ def _(ctx):
 
 # -- bundle layer ---------------------------------------------------------
 
-@_check("cov_derivative_matches_total_space_oracle")
-def _(ctx):
-    rng = ctx.rng(30)
+@_sweep("cov_derivative_matches_total_space_oracle", 1e-11, 30)
+def _(ctx, rng):
     calc = ctx.calc
-    devs = []
     for n in (-2, -1, 0, 1, 2):
         for g in range(0, 3):
             for side in ("left", "right"):
@@ -461,8 +429,7 @@ def _(ctx):
                     psi = qb.QvbForm(n, side, calc.random_form(g, rng))
                     fast = qb.cov_derivative(conn, psi)
                     ref = qb.reference_cov_derivative(conn, psi)
-                    devs.append((fast.form - ref.form).frobenius())
-    return _maxdev(devs) < 1e-11, f"max deviation {_maxdev(devs):.2e}"
+                    yield (fast.form - ref.form).frobenius()
 
 
 @_check("cov_derivative_unit_section_sign", convention_sensitive=True)
@@ -475,25 +442,20 @@ def _(ctx):
     return dev < 1e-12, f"D(Id T^1) = -A, deviation {dev:.2e}"
 
 
-@_check("cov_derivative_charge0_connection_free")
-def _(ctx):
-    rng = ctx.rng(32)
+@_sweep("cov_derivative_charge0_connection_free", 1e-13, 32)
+def _(ctx, rng):
     calc = ctx.calc
     p = calc.random_matrix(rng)
     T = qb.ChargedSection(calc, 0, "left", p)
     want = calc.scalar_form(p).d()
-    devs = []
     for _ in range(10):
         conn = qb.GaugeConnection(calc.random_form(1, rng))
-        devs.append((qb.cov_derivative(conn, T).form - want).frobenius())
-    return _maxdev(devs) < 1e-13, f"max deviation {_maxdev(devs):.2e}"
+        yield (qb.cov_derivative(conn, T).form - want).frobenius()
 
 
-@_check("cov_codifferential_adjointness")
-def _(ctx):
-    rng = ctx.rng(33)
+@_sweep("cov_codifferential_adjointness", qr.ADJOINT_TOL, 33)
+def _(ctx, rng):
     calc = ctx.calc
-    devs = []
     for side in ("left", "right"):
         for n in (-2, -1, 1, 2):
             for g in range(0, 3):
@@ -501,16 +463,13 @@ def _(ctx):
                     conn = qb.GaugeConnection(calc.random_form(1, rng))
                     a = qb.QvbForm(n, side, calc.random_form(g, rng))
                     b = qb.QvbForm(n, side, calc.random_form(g + 1, rng))
-                    devs.append(abs(qb.qvb_inner(qb.cov_derivative(conn, a), b)
-                                    - qb.qvb_inner(a, qb.cov_codifferential(conn, b))))
-    return _maxdev(devs) < qr.ADJOINT_TOL, f"max deviation {_maxdev(devs):.2e}"
+                    yield abs(qb.qvb_inner(qb.cov_derivative(conn, a), b)
+                              - qb.qvb_inner(a, qb.cov_codifferential(conn, b)))
 
 
-@_check("cov_codifferential_decomposition_route")
-def _(ctx):
-    rng = ctx.rng(34)
+@_sweep("cov_codifferential_decomposition_route", 1e-11, 34)
+def _(ctx, rng):
     calc = ctx.calc
-    devs = []
     for n in (-1, 1, 2):
         for g in range(1, 3):
             conn = qb.GaugeConnection(calc.random_form(1, rng))
@@ -522,8 +481,7 @@ def _(ctx):
             base = qb.cov_codifferential(conn_r, psi).form
             sign = -n if (g - 1) % 2 == 0 else n
             k_adj = sign * qr.hodge_inv(ilam * qr.hodge(psi.form))
-            devs.append((direct - (base + k_adj)).frobenius())
-    return _maxdev(devs) < 1e-11, f"max deviation {_maxdev(devs):.2e}"
+            yield (direct - (base + k_adj)).frobenius()
 
 
 @_check("qvb_inner_positive_and_guarded")
@@ -545,32 +503,26 @@ def _(ctx):
         return True, "positive on 100 draws; mismatch raises"
 
 
-@_check("upsilon_roundtrip")
-def _(ctx):
-    rng = ctx.rng(36)
+@_sweep("upsilon_roundtrip", 1e-13, 36)
+def _(ctx, rng):
     calc = ctx.calc
-    devs = []
     for side in ("left", "right"):
         T = qb.ChargedSection(calc, 2, side, calc.random_matrix(rng))
         mu = calc.random_form(1, rng)
         psi = qb.upsilon_inv(mu, T)
         psi2 = qb.upsilon_inv(*qb.upsilon(psi))
-        devs.append((psi.form - psi2.form).frobenius())
-    return _maxdev(devs) < 1e-13, f"max deviation {_maxdev(devs):.2e}"
+        yield (psi.form - psi2.form).frobenius()
 
 
-@_check("displacement_difference_identity")
-def _(ctx):
-    rng = ctx.rng(37)
+@_sweep("displacement_difference_identity", 1e-12, 37)
+def _(ctx, rng):
     calc = ctx.calc
-    devs = []
     for n in (-1, 0, 1, 2):
         base = qb.GaugeConnection(calc.random_form(1, rng))
         lam = qb.ConnectionDisplacement(calc.random_form(1, rng))
         psi = qb.QvbForm(n, "left", calc.random_form(0, rng))
         diff = qb.cov_derivative(base + lam, psi) - qb.cov_derivative(base, psi)
-        devs.append((diff.form - qb.displacement_K(lam, psi).form).frobenius())
-    return _maxdev(devs) < 1e-12, f"max deviation {_maxdev(devs):.2e}"
+        yield (diff.form - qb.displacement_K(lam, psi).form).frobenius()
 
 
 @_check("bianchi_identity")
@@ -628,7 +580,7 @@ def _(ctx):
     return True, "flat => residual 0; curved => residual > 0 (50 draws each)"
 
 
-@_check("worked_example_flat_sections")
+@_sweep("worked_example_flat_sections", 1e-10, label="max residual")
 def _(ctx):
     calc = ctx.calc
     S = calc.generators
@@ -640,9 +592,9 @@ def _(ctx):
         qb.ChargedSection(calc, -1, "right", a),
         fd.PolynomialPotential([0, calc.N]))
     r1, r2 = fd.ymsm_section_residuals(cfg)
-    devs = [fd.ymsm_connection_residual(cfg).frobenius(),
-            r1.form.frobenius(), r2.form.frobenius()]
-    return _maxdev(devs) < 1e-10, f"max residual {_maxdev(devs):.2e}"
+    yield fd.ymsm_connection_residual(cfg).frobenius()
+    yield r1.form.frobenius()
+    yield r2.form.frobenius()
 
 
 def _vertical_example(calc):
@@ -677,11 +629,9 @@ def _(ctx):
         f" and (3/2) Id; deviations {d1:.2e}, {d2:.2e}")
 
 
-@_check("connection_equation_operator_route")
-def _(ctx):
-    rng = ctx.rng(52)
+@_sweep("connection_equation_operator_route", 1e-10, 52)
+def _(ctx, rng):
     calc = ctx.calc
-    devs = []
     for _ in range(15):
         n = int(rng.integers(1, 3))
         cfg = fd.random_configuration(calc, rng, charge=n,
@@ -690,15 +640,14 @@ def _(ctx):
         q2 = qb.cov_derivative(cfg.connection, cfg.right).form
         other = (-2 * fd.ym_residual(cfg.connection)
                  - n * q1.lmul(dagger(cfg.left.p)) + n * q2.star().lmul(cfg.right.p))
-        devs.append((fd.ymsm_connection_residual(cfg) - other).frobenius())
-    return _maxdev(devs) < 1e-10, f"max deviation {_maxdev(devs):.2e}"
+        yield (fd.ymsm_connection_residual(cfg) - other).frobenius()
 
 
-def _fd_sweep(ctx, salt, kind, trials):
-    rng = ctx.rng(salt)
+def _fd_sweep(ctx, rng, kind):
+    """Relative errors of action_gradient_fd against analytic_gradient
+    along random `kind` directions, over 100 pairs."""
     calc = ctx.calc
-    worst = 0.0
-    for _ in range(trials):
+    for _ in range(100):
         n = int(rng.integers(1, 3)) if rng.integers(2) else 0
         cfg = fd.random_configuration(
             calc, rng, charge=n,
@@ -709,46 +658,40 @@ def _fd_sweep(ctx, salt, kind, trials):
             direction = fd.VariationDirection(kind, calc.random_matrix(rng))
         g_fd = fd.action_gradient_fd(cfg, direction)
         g_an = complex(fd.analytic_gradient(cfg, direction))
-        err = abs(g_fd - g_an) / max(abs(g_fd), abs(g_an), 1e-8)
-        worst = max(worst, err)
-    return worst
+        yield abs(g_fd - g_an) / max(abs(g_fd), abs(g_an), 1e-8)
 
 
-@_check("variational_consistency_connection")
-def _(ctx):
-    worst = _fd_sweep(ctx, 53, "connection", 100)
-    return worst < 1e-5, f"worst relative error {worst:.2e} over 100 pairs"
+_PAIRS = dict(label="worst relative error", suffix=" over 100 pairs")
 
 
-@_check("variational_consistency_left_section")
-def _(ctx):
-    worst = _fd_sweep(ctx, 54, "left", 100)
-    return worst < 1e-5, f"worst relative error {worst:.2e} over 100 pairs"
+@_sweep("variational_consistency_connection", 1e-5, 53, **_PAIRS)
+def _(ctx, rng):
+    return _fd_sweep(ctx, rng, "connection")
 
 
-@_check("variational_consistency_right_section")
-def _(ctx):
-    worst = _fd_sweep(ctx, 55, "right", 100)
-    return worst < 1e-5, f"worst relative error {worst:.2e} over 100 pairs"
+@_sweep("variational_consistency_left_section", 1e-5, 54, **_PAIRS)
+def _(ctx, rng):
+    return _fd_sweep(ctx, rng, "left")
 
 
-@_check("charge_zero_reduction")
-def _(ctx):
-    rng = ctx.rng(56)
+@_sweep("variational_consistency_right_section", 1e-5, 55, **_PAIRS)
+def _(ctx, rng):
+    return _fd_sweep(ctx, rng, "right")
+
+
+@_sweep("charge_zero_reduction", 1e-11, 56)
+def _(ctx, rng):
     calc = ctx.calc
-    devs = []
     for _ in range(10):
         cfg = fd.random_configuration(calc, rng, charge=0,
                                       potential=fd.PolynomialPotential([0.5, 0.8]))
-        devs.append((fd.ymsm_connection_residual(cfg)
-                     - fd.ym_residual(cfg.connection)).frobenius())
+        yield (fd.ymsm_connection_residual(cfg) - fd.ym_residual(cfg.connection)).frobenius()
         ls, rs = fd.sm_residuals(calc, [cfg.left.p], [cfg.right.p], cfg.potential)
         r1, r2 = fd.ymsm_section_residuals(cfg)
-        devs.append(float(np.max(np.abs(
-            np.asarray(r1.form.component(()), dtype=complex) - ls[0]))))
-        devs.append(float(np.max(np.abs(
-            np.asarray(dagger(r2.form.component(())), dtype=complex) - rs[0]))))
-    return _maxdev(devs) < 1e-11, f"max deviation {_maxdev(devs):.2e}"
+        yield float(np.max(np.abs(
+            np.asarray(r1.form.component(()), dtype=complex) - ls[0])))
+        yield float(np.max(np.abs(
+            np.asarray(dagger(r2.form.component(())), dtype=complex) - rs[0])))
 
 
 @_check("sm_constant_potential_stationary_exact")
@@ -785,27 +728,22 @@ def _(ctx):
     return total0 == total1, "action invariant under exact unit phases"
 
 
-@_check("continuity_equation")
-def _(ctx):
-    rng = ctx.rng(57)
-    calc = ctx.calc
-    devs = [fd.continuity_residual(qb.GaugeConnection(calc.random_form(1, rng))).frobenius()
-            for _ in range(100)]
-    return _maxdev(devs) < 1e-10, f"max residual {_maxdev(devs):.2e} over 100 draws"
+@_sweep("continuity_equation", 1e-10, 57, "max residual", " over 100 draws")
+def _(ctx, rng):
+    for _ in range(100):
+        conn = qb.GaugeConnection(ctx.calc.random_form(1, rng))
+        yield fd.continuity_residual(conn).frobenius()
 
 
-@_check("flat_reconstruction")
-def _(ctx):
-    rng = ctx.rng(58)
+@_sweep("flat_reconstruction", 1e-9, 58, "max defect")
+def _(ctx, rng):
     calc = ctx.calc
-    devs = []
     for _ in range(20):
         p = calc.random_matrix(rng)
         conn = qb.GaugeConnection(calc.scalar_form(p).d())
         prec, defect = fd.flat_potential(conn)
-        devs.append(defect)
-        devs.append((conn.A - calc.scalar_form(prec).d()).frobenius())
-    return _maxdev(devs) < 1e-9, f"max defect {_maxdev(devs):.2e}"
+        yield defect
+        yield (conn.A - calc.scalar_form(prec).d()).frobenius()
 
 
 @_check("solver_ym_reaches_flat")
@@ -873,22 +811,16 @@ def _(ctx):
     return False, "solver did not converge near the reference triplet"
 
 
-@_check("exact_numeric_cross_check")
-def _(ctx):
-    rng = ctx.rng(62)
+@_sweep("exact_numeric_cross_check", 1e-12, 62)
+def _(ctx, rng):
     exact = ctx.exact
     calc = DerivationCalculus(2)  # the exact calculus exists at N=2 only
     w_ex = exact.random_form(1, rng)
     w_nu = DiffForm(calc, {I: np.asarray(p, dtype=complex) for I, p in w_ex.terms.items()})
-    pairs = [
-        (qr.codifferential(w_ex.d()), qr.codifferential(w_nu.d())),
-        (qr.hodge(w_ex), qr.hodge(w_nu)),
-    ]
-    devs = []
-    for ex, nu in pairs:
+    for ex, nu in [(qr.codifferential(w_ex.d()), qr.codifferential(w_nu.d())),
+                   (qr.hodge(w_ex), qr.hodge(w_nu))]:
         diff = DiffForm(calc, {I: np.asarray(p, dtype=complex) for I, p in ex.terms.items()}) - nu
-        devs.append(diff.frobenius())
-    return _maxdev(devs) < 1e-12, f"max deviation {_maxdev(devs):.2e}"
+        yield diff.frobenius()
 
 
 def run_verification(seed=0, N=2, strict_conventions=False, check_seconds=None):

@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +78,7 @@ def test_unknown_field_exits_2(tmp_path, capsys):
     ('{"mode": "spectrum", "charge": 3}', "charge"),
     ('{"mode": "solve", "grade": 2}', "grade"),
     ('{"mode": "solve", "strict_conventions": true}', "strict_conventions"),
+    ('{"mode": "solve", "potential": []}', "potential"),
 ])
 def test_invalid_values_exit_2(tmp_path, capsys, doc, field):
     cfg, out = tmp_path / "c.json", tmp_path / "r.out"
@@ -197,6 +199,21 @@ def test_solve_nonconvergence_exit_1_report_written(tmp_path):
     rep = read_report(out)["report"]
     assert rep["solver"]["converged"] is False
     assert rep["solver"]["iterations"] == 2
+
+
+def test_solver_abort_exit_1_one_line_no_report(tmp_path, capsys):
+    # the start's residuals overflow; numpy's warnings would be errors here
+    out = tmp_path / "r.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["--mode", "solve", "--charge", "1", "--potential", "1e308,1e308",
+                     "--out", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("matym: solver aborted: initial configuration has "
+                            "non-finite residuals\n")
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_solve_method_gd_matches_default(tmp_path):
