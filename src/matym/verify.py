@@ -35,21 +35,21 @@ def _check(name, convention_sensitive=False):
     return register
 
 
-def _sweep(name, bound, salt=None, label="max deviation", suffix="",
-           convention_sensitive=False):
+def _sweep(name, bound, salt=None, label="max deviation", suffix=""):
     """Register a check that passes when every deviation its body yields,
-    given ctx (and ctx.rng(salt) if a salt is given), is below `bound`. The
-    detail reads "<label> <largest><suffix>". An empty sweep fails, as does a NaN.
+    given ctx and ctx.rng(salt) (None when no salt is given), is below
+    `bound`. The detail reads "<label> <largest><suffix>". An empty sweep
+    fails, as does a NaN.
     """
     def register(body):
         def check(ctx):
-            devs = list(body(ctx) if salt is None else body(ctx, ctx.rng(salt)))
+            devs = list(body(ctx, None if salt is None else ctx.rng(salt)))
             if not devs:
                 return False, f"{label}: no draws"
             worst = float(np.max(devs))
             return worst < bound, f"{label} {worst:.2e}{suffix}"
         check.bound = bound
-        return _check(name, convention_sensitive)(check)
+        return _check(name)(check)
     return register
 
 
@@ -67,7 +67,7 @@ class _Ctx:
 # -- graded algebra -------------------------------------------------------
 
 @_sweep("generator_normalization", 1e-13)
-def _(ctx):
+def _(ctx, _rng):
     calc = ctx.calc
     for a in range(calc.dim):
         for b in range(calc.dim):
@@ -186,7 +186,7 @@ def _(ctx):
         w = ctx.exact.random_form(2, rng)
         if qr.integral(w.d()) != GaussianRational(0):
             return False, "exact-mode integral of an exact top form is nonzero"
-    worst = max(devs)
+    worst = float(np.max(devs))
     return worst < 1e-13, f"max |integral(d mu)| {worst:.2e}"
 
 
@@ -269,7 +269,7 @@ def _(ctx):
         a = calc.random_form(g, rng)
         b = calc.random_form(g, rng)
         m = calc.random_matrix(rng)
-        worst = max(worst, float(np.max(np.abs(
+        worst = float(np.maximum(worst, np.max(np.abs(
             qr.metric(a.rmul(m), b, "left") - qr.metric(a, b.rmul(dagger(m)), "left")))))
         gram = np.asarray(qr.metric(a, a, "left"), dtype=complex)
         ev = np.linalg.eigvalsh((gram + gram.conj().T) / 2)
@@ -359,7 +359,7 @@ def _(ctx):
             (1, 3): calc.derive(2, p),
             (2, 3): -calc.derive(1, p),
         })
-        worst = max(worst, (qr.codifferential(mu) - expect).frobenius())
+        worst = float(np.maximum(worst, (qr.codifferential(mu) - expect).frobenius()))
     return worst < 1e-12, f"max deviation {worst:.2e}"
 
 
@@ -581,7 +581,7 @@ def _(ctx):
 
 
 @_sweep("worked_example_flat_sections", 1e-10, label="max residual")
-def _(ctx):
+def _(ctx, _rng):
     calc = ctx.calc
     S = calc.generators
     a = S[0] + S[1] + S[2]

@@ -9,7 +9,9 @@ from types import SimpleNamespace
 
 import pytest
 
+from matym import qriemann as qr
 from matym import verify
+from matym.exact import GaussianRational
 
 
 @pytest.fixture(scope="module")
@@ -85,3 +87,28 @@ def test_sweep_fails_when_empty_or_nan(monkeypatch):
     assert results == {"empty": (False, "max |x|: no draws"),
                        "nan": (False, "max |x| nan over 2"),
                        "small": (True, "max |x| 2.00e-03 over 2")}
+
+
+# The plain checks that keep an inline maximum (they return early failures)
+# must fail on a NaN deviation too: each case poisons the quantity the
+# maximum is taken over and leaves the early-failure probes finite.
+NAN_POISONS = {
+    "boundaryless_integral": ("integral", lambda args, out: not isinstance(out, GaussianRational)),
+    "metric_module_and_positivity": ("metric", lambda args, out: args[0] is not args[1]),
+    "codifferential_closed_form_grade3": ("codifferential", lambda args, out: True),
+}
+
+
+@pytest.mark.parametrize("name", NAN_POISONS)
+def test_plain_check_fails_on_nan(monkeypatch, name):
+    attr, poison = NAN_POISONS[name]
+    original = getattr(qr, attr)
+
+    def poisoned(*args):
+        out = original(*args)
+        return float("nan") * out if poison(args, out) else out
+
+    monkeypatch.setattr(qr, attr, poisoned)
+    check = {n: fn for n, _, fn in verify._CHECKS}[name]
+    ok, detail = check(verify._Ctx(seed=0, N=2))
+    assert not ok and detail.endswith(" nan"), detail
